@@ -53,12 +53,16 @@ bench-overload:
 	$(GO) run ./cmd/enokibench -overload BENCH_cluster.json
 
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
-# race detector — placement, migration, failover, Close lifecycle — plus the
-# fleet executor's serial-vs-parallel identity, the machine-kill chaos
-# replay, and the scaled-down fleet benchmark's fingerprint check.
+# race detector — placement, migration, failover, Close lifecycle, the
+# golden fleet and rollout digests — plus the fleet executor's
+# serial-vs-parallel identity, the machine-kill chaos replay, and the
+# scaled-down fleet benchmark's fingerprint check. The last step runs the
+# per-job allocation ratchet and the message-record size guard without the
+# race detector.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet' -count=1 ./internal/sim ./internal/chaos ./internal/bench
+	$(GO) test -run 'TestFleetJobAllocRatchet|TestMessageRecordSizes' -count=1 ./internal/cluster ./internal/sim
 
 # Rollout gate mirroring the CI job: the canary-upgrade state machine under
 # the race detector — serial-vs-parallel identity of clean and halted

@@ -15,6 +15,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"enoki/internal/enokic"
@@ -109,6 +110,19 @@ type Cluster struct {
 	adm      *overload.Controller
 	jobClass map[int]int // job id → admission class, for jobs that entered via Offer
 	closed   bool
+
+	// inbox holds the reports committed for the control plane, in merge
+	// order; inHead is the next one to handle. One recycled drainFn event
+	// per instant handles every report due then.
+	inbox   []report
+	inHead  int
+	drainFn func()
+}
+
+// report is a machine report committed for the control plane.
+type report struct {
+	at  ktime.Time
+	msg sim.Msg
 }
 
 // New builds a cluster: fleet node 0 is the control-plane engine, nodes
@@ -125,6 +139,8 @@ func New(cfg Config) *Cluster {
 	}
 	c.ctrlNode = c.fl.AddNode(c.ctrl)
 	c.ctrlSrc = c.fl.AddSource(c.ctrlNode)
+	c.fl.SetHandler(c.ctrlNode, c.onReport)
+	c.drainFn = c.drainReports
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, newMachine(c, i))
 	}
@@ -141,6 +157,9 @@ func (c *Cluster) Submit(spec JobSpec) int {
 	}
 	spec = spec.withDefaults()
 	id := len(c.sched.jobs)
+	if spec.Cycles > math.MaxInt32 {
+		panic("cluster: JobSpec.Cycles must fit the 32-bit words of fleet messages")
+	}
 	c.sched.jobs = append(c.sched.jobs, &Job{
 		ID: id, Spec: spec, State: JobPending,
 		Machine: -1, Desired: -1,
@@ -166,12 +185,58 @@ func (c *Cluster) FailMachine(mi int, at time.Duration) {
 		panic(fmt.Sprintf("cluster: FailMachine(%d) out of range", mi))
 	}
 	t := ktime.Time(0).Add(ktime.Duration(at))
-	node := c.machines[mi].node
+	if min := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency)); t < min {
+		panic(fmt.Sprintf("cluster: FailMachine(%d, %v) is under one network latency past now (earliest %v)",
+			mi, at, time.Duration(min)))
+	}
 	// Kill must observe the fleet floor exactly at the failure instant — the
 	// victim advances to t and no further — so it rides a plain Send, whose
 	// commitments run at the floor (unlike the handoff fast path).
-	c.fl.Send(c.ctrlSrc, node, t, func() { c.fl.Kill(node) })
+	c.fl.Send(c.ctrlSrc, c.machines[mi].node, t, sim.Msg{Kind: sim.KindKill})
 	c.ctrl.PostAt(t.Add(ktime.Duration(c.cfg.DetectDelay)), func() { c.sched.machineDead(mi) })
+}
+
+// onReport is the control plane's fleet handler. It runs on the coordinator
+// and only queues the report; drainReports handles it at its instant on the
+// control-plane engine, as one event for every report due then.
+func (c *Cluster) onReport(at ktime.Time, msg sim.Msg) {
+	if len(c.inbox) == 0 || c.inbox[len(c.inbox)-1].at != at {
+		c.ctrl.PostAt(at, c.drainFn)
+	}
+	c.inbox = append(c.inbox, report{at: at, msg: msg})
+}
+
+// drainReports handles every queued report due at the control plane's
+// current instant, in merge order.
+func (c *Cluster) drainReports() {
+	now := c.ctrl.Now()
+	for c.inHead < len(c.inbox) && c.inbox[c.inHead].at == now {
+		msg := c.inbox[c.inHead].msg
+		c.inHead++
+		c.handleReport(msg)
+	}
+	if c.inHead >= len(c.inbox) {
+		c.inbox = c.inbox[:0]
+		c.inHead = 0
+	}
+}
+
+// handleReport dispatches one machine report to the job state machine or
+// the rollout it acknowledges.
+func (c *Cluster) handleReport(msg sim.Msg) {
+	s := c.sched
+	switch msg.Kind {
+	case msgStarted:
+		s.onStarted(int(msg.A), int(msg.B))
+	case msgStopped:
+		s.onStopped(int(msg.A), int(msg.B), int(msg.C))
+	case msgDone:
+		s.onDone(int(msg.A), int(msg.B))
+	case msgUpgrade, msgProbe, msgRollback:
+		c.rollout.ack(msg)
+	default:
+		panic(fmt.Sprintf("cluster: control plane got report kind %d", msg.Kind))
+	}
 }
 
 // Run advances the whole cluster by d of virtual time.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +140,30 @@ func TestClusterFailover(t *testing.T) {
 	// The frozen machine's clock must trail the fleet floor.
 	if now := c.Machine(0).Sharded().Now(); now >= c.Now() {
 		t.Fatalf("dead machine clock %v reached fleet floor %v", now, c.Now())
+	}
+}
+
+// TestFailMachineTooSoonPanics pins the argument check of FailMachine: a
+// failure instant under one network latency past now cannot ride the fleet,
+// and the panic must say so in cluster terms. An instant exactly one
+// latency out is the earliest accepted.
+func TestFailMachineTooSoonPanics(t *testing.T) {
+	c := New(Config{Machines: 2, NetLatency: 50 * time.Microsecond})
+	defer c.Close()
+	c.Run(time.Millisecond)
+	func() {
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.HasPrefix(msg, "cluster: FailMachine(1, 1.049ms)") {
+				t.Fatalf("panic %q, want a cluster-level FailMachine message", msg)
+			}
+		}()
+		c.FailMachine(1, time.Millisecond+49*time.Microsecond)
+	}()
+	c.FailMachine(1, time.Millisecond+50*time.Microsecond)
+	c.Run(time.Millisecond)
+	if alive := c.Stats().MachinesAlive; alive != 1 {
+		t.Fatalf("machines alive = %d after the accepted failure, want 1", alive)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -22,6 +23,45 @@ type fleetRun struct {
 	logs  [][][]byte // [machine][shard]
 	jobs  []cluster.Job
 	stats cluster.Stats
+	// machineEvents sums the engine events fired on the machines alone,
+	// without the control plane's.
+	machineEvents uint64
+}
+
+// runDigest hashes everything a cluster run observably produced: the Stats
+// roll-up, every Job record, every per-(machine, shard) record log and, for
+// rollout runs, the RolloutReport. Stats.EventsFired is replaced by the
+// machines' own event count: the control plane's share counts executor
+// events (how reports are batched into engine events), not behaviour.
+func runDigest(stats cluster.Stats, machineEvents uint64, jobs []cluster.Job, logs [][][]byte, extra ...any) uint64 {
+	h := fnv.New64a()
+	stats.EventsFired = machineEvents
+	fmt.Fprintf(h, "%+v\n", stats)
+	for _, j := range jobs {
+		fmt.Fprintf(h, "%+v\n", j)
+	}
+	for mi := range logs {
+		for s, l := range logs[mi] {
+			fmt.Fprintf(h, "log %d/%d %d\n", mi, s, len(l))
+			h.Write(l)
+		}
+	}
+	for _, x := range extra {
+		fmt.Fprintf(h, "%+v\n", x)
+	}
+	return h.Sum64()
+}
+
+func (r fleetRun) digest() uint64 { return runDigest(r.stats, r.machineEvents, r.jobs, r.logs) }
+
+// goldenFleetDigest pins each class's fleet run to the exact outcome of the
+// closure-message executor this test was first written against. The
+// serial≡parallel checks below cannot see a change that reorders messages
+// the same way in both drives; the pin can.
+var goldenFleetDigest = map[string]uint64{
+	"fifo":     0x0d4ef012727407a5,
+	"wfq":      0xe1c7639bf1784918,
+	"shinjuku": 0xb98580976dceb3a5,
 }
 
 // recordFleetRun drives one seeded cluster workload for case c on machine
@@ -91,6 +131,9 @@ func recordFleetRun(c conformance.Case, m kernel.Machine, seed uint64, parallel 
 	for i := 0; i < cl.NumJobs(); i++ {
 		out.jobs = append(out.jobs, cl.Job(i))
 	}
+	for mi := 0; mi < machines; mi++ {
+		out.machineEvents += cl.Machine(mi).Sharded().EventsFired()
+	}
 	return out
 }
 
@@ -121,6 +164,9 @@ func TestFleetClusterIdentity(t *testing.T) {
 
 			if serial.stats != par.stats {
 				t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", serial.stats, par.stats)
+			}
+			if got, want := serial.digest(), goldenFleetDigest[c.Name]; got != want {
+				t.Errorf("run digest %#016x, golden %#016x: the fleet outcome changed", got, want)
 			}
 			if len(serial.jobs) != len(par.jobs) {
 				t.Fatalf("job counts diverge: %d vs %d", len(serial.jobs), len(par.jobs))

@@ -1,9 +1,27 @@
 package cluster
 
 import (
+	"fmt"
+
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/ktime"
+	"enoki/internal/sim"
+)
+
+// Record kinds of the cluster's fleet messages (sim.Msg). Operations travel
+// from the control plane to a machine's fleet handler, which forwards them
+// to a shard as injected records; reports travel from a shard back to the
+// control plane's inbox. A rollout op and its ack share a kind.
+const (
+	msgStart    sim.MsgKind = iota // op: A job, B shard, C cycles left
+	msgStop                        // op: A job, B shard
+	msgStarted                     // report: A job, B machine
+	msgStopped                     // report: A job, B machine, C cycles left
+	msgDone                        // report: A job, B machine
+	msgUpgrade                     // op: no words; ack: A machine, B and C counts
+	msgProbe                       // op: no words; ack: A machine, B and C counts
+	msgRollback                    // op: no words; ack: A machine, B and C counts
 )
 
 // Machine is the agent side of the control loop: one simulated machine — a
@@ -35,18 +53,39 @@ type Machine struct {
 	// ads are the per-shard upgradable modules (index = shard, nil where
 	// Config.SetupModules registered none). Each adapter is mutated only by
 	// its own shard's engine; the rollout agent ops in rollout.go fan
-	// in/out through shard injections, never cross-shard reads.
-	ads []*enokic.Adapter
+	// in/out through shard injections, never cross-shard reads. mods counts
+	// the non-nil entries; op is the rollout op the shards run next.
+	ads  []*enokic.Adapter
+	mods int
+	op   *agentOp
 }
 
-// jobRun is the on-machine state of one placed job.
+// jobRun is the on-machine state of one placed job, and the kernel
+// Behavior of its task: cyclesLeft compute segments, parking between them
+// per the spec, honoring the cooperative stop flag at every cycle boundary.
 type jobRun struct {
+	m          *Machine
 	id         int
 	shard      int
 	cyclesLeft int
 	stop       bool // cooperative stop flag, checked at cycle boundaries
 	spec       JobSpec
 }
+
+// Next implements kernel.Behavior.
+func (jr *jobRun) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
+	if jr.stop || jr.cyclesLeft <= 0 {
+		return kernel.Action{Op: kernel.OpExit}
+	}
+	jr.cyclesLeft--
+	if jr.spec.Sleep > 0 {
+		return kernel.Action{Run: jr.spec.Run, Op: kernel.OpSleep, SleepFor: jr.spec.Sleep}
+	}
+	return kernel.Action{Run: jr.spec.Run, Op: kernel.OpYield}
+}
+
+// exited is the task's exit observer.
+func (jr *jobRun) exited() { jr.m.onExit(jr) }
 
 func newMachine(c *Cluster, id int) *Machine {
 	sk := kernel.NewShardedKernel(c.cfg.Machine, kernel.CostsFor(c.cfg.Machine), 0)
@@ -55,8 +94,15 @@ func newMachine(c *Cluster, id int) *Machine {
 	for s := 0; s < sk.NumShards(); s++ {
 		m.src = append(m.src, c.fl.AddSource(m.node))
 	}
+	c.fl.SetHandler(m.node, m.onFleet)
+	sk.SetInjectHandler(m.onShard)
 	if c.cfg.SetupModules != nil {
 		m.ads = c.cfg.SetupModules(id, sk)
+		for _, ad := range m.ads {
+			if ad != nil {
+				m.mods++
+			}
+		}
 	} else if c.cfg.Setup != nil {
 		c.cfg.Setup(id, sk)
 	} else {
@@ -85,37 +131,53 @@ func (m *Machine) TasksSpawned() uint64 { return m.spawned }
 // only — mid-run the shards own it.
 func (m *Machine) Adapters() []*enokic.Adapter { return m.ads }
 
+// onFleet is the machine's fleet handler. It runs on the coordinator with
+// every node quiescent, so it may read control-plane state: this is where
+// a start op picks up its job's spec, and a rollout op its Rollout. It
+// forwards each op to the target shard as an injected record.
+func (m *Machine) onFleet(at ktime.Time, msg sim.Msg) {
+	switch msg.Kind {
+	case msgStart:
+		id := int(msg.A)
+		m.jobs[id] = &jobRun{m: m, id: id, shard: int(msg.B), cyclesLeft: int(msg.C),
+			spec: m.c.sched.jobs[id].Spec}
+		m.sk.Inject(int(msg.B), at, msg)
+	case msgStop:
+		m.sk.Inject(int(msg.B), at, msg)
+	case msgUpgrade, msgProbe, msgRollback:
+		m.fanOut(at, msg.Kind, m.c.rollout)
+	default:
+		panic(fmt.Sprintf("cluster: machine %d got fleet record kind %d", m.id, msg.Kind))
+	}
+}
+
+// onShard is the machine's inject handler: it runs an op inside the target
+// shard's context at the op's instant.
+func (m *Machine) onShard(shard int, msg sim.Msg) {
+	switch msg.Kind {
+	case msgStart:
+		m.applyStart(m.jobs[int(msg.A)])
+	case msgStop:
+		m.applyStop(int(msg.A))
+	default:
+		m.applyOp(shard, m.op)
+	}
+}
+
 // report sends a lifecycle report from shard context back to the control
 // plane, one network latency away.
-func (m *Machine) report(shard int, fn func(s *jobScheduler)) {
+func (m *Machine) report(shard int, msg sim.Msg) {
 	c := m.c
 	at := m.sk.ShardKernel(shard).Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(m.src[shard], c.ctrlNode, at, func() {
-		c.ctrl.PostAt(at, func() { fn(c.sched) })
-	})
+	c.fl.SendHandoff(m.src[shard], c.ctrlNode, at, msg)
 }
 
 // applyStart executes a start operation inside shard context: spawn the
-// job's task into the configured policy class and ack the placement. The
-// task runs cyclesLeft compute segments, parking between them per the spec,
-// and honors the cooperative stop flag at every cycle boundary.
-func (m *Machine) applyStart(id, shard, cycles int, spec JobSpec) {
-	k := m.sk.ShardKernel(shard)
-	jr := &jobRun{id: id, shard: shard, cyclesLeft: cycles, spec: spec}
-	m.jobs[id] = jr
+// job's task into the configured policy class and ack the placement.
+func (m *Machine) applyStart(jr *jobRun) {
 	m.spawned++
-	k.Spawn(spec.Name, m.c.cfg.Policy, kernel.BehaviorFunc(
-		func(*kernel.Kernel, *kernel.Task) kernel.Action {
-			if jr.stop || jr.cyclesLeft <= 0 {
-				return kernel.Action{Op: kernel.OpExit}
-			}
-			jr.cyclesLeft--
-			if spec.Sleep > 0 {
-				return kernel.Action{Run: spec.Run, Op: kernel.OpSleep, SleepFor: spec.Sleep}
-			}
-			return kernel.Action{Run: spec.Run, Op: kernel.OpYield}
-		}), kernel.WithExitObserver(func() { m.onExit(jr) }))
-	m.report(shard, func(s *jobScheduler) { s.onStarted(id, m.id) })
+	m.sk.ShardKernel(jr.shard).Spawn(jr.spec.Name, m.c.cfg.Policy, jr, kernel.WithExitObserver(jr.exited))
+	m.report(jr.shard, sim.Msg{Kind: msgStarted, A: int32(jr.id), B: int32(m.id)})
 }
 
 // applyStop executes a stop operation: raise the cooperative flag so the
@@ -132,11 +194,9 @@ func (m *Machine) applyStop(id int) {
 // completion or the migration checkpoint.
 func (m *Machine) onExit(jr *jobRun) {
 	delete(m.jobs, jr.id)
-	id := jr.id
 	if jr.stop && jr.cyclesLeft > 0 {
-		left := jr.cyclesLeft
-		m.report(jr.shard, func(s *jobScheduler) { s.onStopped(id, m.id, left) })
+		m.report(jr.shard, sim.Msg{Kind: msgStopped, A: int32(jr.id), B: int32(m.id), C: int32(jr.cyclesLeft)})
 		return
 	}
-	m.report(jr.shard, func(s *jobScheduler) { s.onDone(id, m.id) })
+	m.report(jr.shard, sim.Msg{Kind: msgDone, A: int32(jr.id), B: int32(m.id)})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"enoki/internal/ktime"
+	"enoki/internal/sim"
 	"enoki/internal/stats"
 )
 
@@ -246,12 +247,10 @@ func (s *jobScheduler) start(j *Job, mi int) {
 	j.Shard = j.ID % m.sk.NumShards()
 	s.view[mi].Assigned++
 	s.starts++
-	id, shard, cycles, spec := j.ID, j.Shard, j.CyclesLeft, j.Spec
 	j.startSent = c.ctrl.Now()
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() {
-		m.sk.Inject(shard, at, func() { m.applyStart(id, shard, cycles, spec) })
-	})
+	c.fl.SendHandoff(c.ctrlSrc, m.node, at,
+		sim.Msg{Kind: msgStart, A: int32(j.ID), B: int32(j.Shard), C: int32(j.CyclesLeft)})
 }
 
 // stop sends a cooperative stop toward a Running job: the migration path.
@@ -262,11 +261,8 @@ func (s *jobScheduler) stop(j *Job) {
 	m := c.machines[j.Machine]
 	j.State = JobStopping
 	s.stops++
-	id, shard := j.ID, j.Shard
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() {
-		m.sk.Inject(shard, at, func() { m.applyStop(id) })
-	})
+	c.fl.SendHandoff(c.ctrlSrc, m.node, at, sim.Msg{Kind: msgStop, A: int32(j.ID), B: int32(j.Shard)})
 }
 
 // onStarted handles a machine's spawn acknowledgement. Guards drop stale

@@ -29,6 +29,7 @@ import (
 	"enoki/internal/core"
 	"enoki/internal/enokic"
 	"enoki/internal/ktime"
+	"enoki/internal/sim"
 	"enoki/internal/stats"
 )
 
@@ -135,10 +136,10 @@ func (s SlotState) String() string {
 }
 
 // upgradeSummary is a machine agent's roll-up of one machine-wide upgrade
-// (or rollback) operation: how each shard's transaction resolved.
+// (or rollback) operation: how each shard's transaction resolved. Shards
+// whose transaction neither rolled back nor failed committed.
 type upgradeSummary struct {
 	Shards     int // shards holding upgradable modules
-	Committed  int // transactions that committed (rollback op: shards off the new version)
 	RolledBack int // transactions enokic aborted and rolled back
 	Errs       int // terminal errors (ErrModuleKilled et al.)
 }
@@ -410,32 +411,34 @@ func (r *Rollout) startWave() {
 		sl.wave = r.wave
 		sl.awaiting = true
 		r.awaiting++
-		r.sendUpgrade(mi)
+		r.send(msgUpgrade, mi)
 	}
 }
 
-// sendUpgrade ships the upgrade op to machine mi over the fleet.
-func (r *Rollout) sendUpgrade(mi int) {
+// send ships a rollout op of the given kind to machine mi over the fleet.
+// The op names no rollout: only the in-flight one sends ops and receives
+// acks, because it cannot resolve while an op to a live machine is
+// unacknowledged.
+func (r *Rollout) send(kind sim.MsgKind, mi int) {
 	c := r.c
-	m := c.machines[mi]
 	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyUpgrade(r, at) })
+	c.fl.SendHandoff(c.ctrlSrc, c.machines[mi].node, at, sim.Msg{Kind: kind})
 }
 
-// sendProbe ships the health probe to machine mi.
-func (r *Rollout) sendProbe(mi int) {
-	c := r.c
-	m := c.machines[mi]
-	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyProbe(r, at) })
-}
-
-// sendRollback ships the rollback op to machine mi.
-func (r *Rollout) sendRollback(mi int) {
-	c := r.c
-	m := c.machines[mi]
-	at := c.ctrl.Now().Add(ktime.Duration(c.cfg.NetLatency))
-	c.fl.SendHandoff(c.ctrlSrc, m.node, at, func() { m.applyRollback(r, at) })
+// ack handles a machine's ack of a rollout op: A is the machine, B and C
+// the op's two counts (see agentOp).
+func (r *Rollout) ack(msg sim.Msg) {
+	mi := int(msg.A)
+	shards := r.c.machines[mi].mods
+	x, y := int(msg.B), int(msg.C)
+	switch msg.Kind {
+	case msgUpgrade:
+		r.upgradeAck(mi, upgradeSummary{Shards: shards, RolledBack: x, Errs: y})
+	case msgProbe:
+		r.probeAck(mi, healthSummary{Shards: shards, OnTarget: x, Killed: y})
+	case msgRollback:
+		r.rollbackAck(mi, upgradeSummary{Shards: shards, RolledBack: x, Errs: y})
+	}
 }
 
 // ackBarrier retires one outstanding machine ack and advances the phase
@@ -525,7 +528,7 @@ func (r *Rollout) observeEnd() {
 		}
 		sl.awaiting = true
 		r.awaiting++
-		r.sendProbe(mi)
+		r.send(msgProbe, mi)
 	}
 	if r.awaiting == 0 {
 		r.evaluateWave()
@@ -646,7 +649,7 @@ func (r *Rollout) halt() {
 			sl.state = SlotRollingBack
 			sl.awaiting = true
 			r.awaiting++
-			r.sendRollback(mi)
+			r.send(msgRollback, mi)
 		}
 	}
 	if r.awaiting == 0 {
@@ -730,143 +733,91 @@ func (r *Rollout) finish(converged bool) {
 
 // --- machine agent side -----------------------------------------------
 //
-// The agent ops below mirror applyStart/applyStop: the fleet delivers them
-// at machine-executor level, they fan out to every module-holding shard via
-// shard injection, accumulate a machine-local roll-up (the machine drive is
-// serial, so plain mutation is safe and deterministic), and the last shard
-// to resolve reports the roll-up back over its own fleet source.
+// A rollout op reaches the machine's fleet handler, which fans it out to
+// every module-holding shard as an injected record. Each shard resolves its
+// part inside its own context into the op's machine-local roll-up (the
+// machine drive is serial, so plain mutation is safe and deterministic),
+// and the last shard to resolve acks the roll-up over its own fleet source.
 
-// applyUpgrade injects an UpgradeTo into every shard holding a module and
-// acks the machine-wide outcome once the last shard's transaction resolves.
-func (m *Machine) applyUpgrade(r *Rollout, at ktime.Time) {
-	sum := &upgradeSummary{}
-	left := 0
-	for _, ad := range m.ads {
-		if ad != nil {
-			left++
-		}
-	}
-	sum.Shards = left
-	mid := m.id
-	finish := func(shard int) {
-		left--
-		if left > 0 {
-			return
-		}
-		out := *sum
-		m.report(shard, func(*jobScheduler) { r.upgradeAck(mid, out) })
-	}
-	version := r.cfg.Version
+// agentOp is one rollout op in progress on a machine.
+type agentOp struct {
+	r    *Rollout
+	kind sim.MsgKind
+	left int // shards still to resolve
+	// Upgrade and rollback: x counts transactions enokic rolled back, y
+	// terminal errors. Probe: x counts shards serving the rollout version,
+	// y shards whose module the fault layer killed.
+	x, y int
+}
+
+// fanOut hands op kind of rollout r to every module-holding shard at at.
+// It runs on the coordinator (from onFleet). The shards pick the op up from
+// m.op at at; the next op cannot reach the coordinator before then, since
+// it waits for this one's ack.
+func (m *Machine) fanOut(at ktime.Time, kind sim.MsgKind, r *Rollout) {
+	m.op = &agentOp{r: r, kind: kind, left: m.mods}
 	for s, ad := range m.ads {
-		if ad == nil {
-			continue
+		if ad != nil {
+			m.sk.Inject(s, at, sim.Msg{Kind: kind})
 		}
-		shard, a := s, ad
-		m.sk.Inject(shard, at, func() {
-			factory := func(env core.Env) core.Scheduler { return r.cfg.Factory(mid, env) }
-			err := a.UpgradeTo(version, factory, func(rep enokic.UpgradeReport) {
-				switch {
-				case rep.Err != nil:
-					sum.Errs++
-				case rep.RolledBack:
-					sum.RolledBack++
-				default:
-					sum.Committed++
-				}
-				finish(shard)
-			})
-			if err != nil {
-				sum.Errs++
-				finish(shard)
-			}
-		})
 	}
 }
 
-// applyProbe reads each shard's module health inside that shard's own
-// context and acks the roll-up.
-func (m *Machine) applyProbe(r *Rollout, at ktime.Time) {
-	sum := &healthSummary{}
-	left := 0
-	for _, ad := range m.ads {
-		if ad != nil {
-			left++
-		}
-	}
-	mid := m.id
-	version := r.cfg.Version
-	for s, ad := range m.ads {
-		if ad == nil {
-			continue
-		}
-		shard, a := s, ad
-		m.sk.Inject(shard, at, func() {
-			sum.Shards++
-			if a.Killed() {
-				sum.Killed++
-			} else if a.Version() == version {
-				sum.OnTarget++
-			}
-			left--
-			if left == 0 {
-				out := *sum
-				m.report(shard, func(*jobScheduler) { r.probeAck(mid, out) })
-			}
-		})
+// tally counts one resolved upgrade or rollback transaction.
+func (op *agentOp) tally(rep enokic.UpgradeReport) {
+	switch {
+	case rep.Err != nil:
+		op.y++
+	case rep.RolledBack:
+		// For a rollback op: the rollback transaction itself aborted, so
+		// the new generation kept serving, which defeats the halt.
+		op.x++
 	}
 }
 
-// applyRollback restores the previous generation on every shard still
-// serving the rollout version — shards that never committed (or whose
-// module is dead) have nothing to undo and count as already off the new
-// generation.
-func (m *Machine) applyRollback(r *Rollout, at ktime.Time) {
-	sum := &upgradeSummary{}
-	left := 0
-	for _, ad := range m.ads {
-		if ad != nil {
-			left++
-		}
+// resolved retires shard's part of op; the last one acks the roll-up.
+func (m *Machine) resolved(shard int, op *agentOp) {
+	op.left--
+	if op.left > 0 {
+		return
 	}
-	sum.Shards = left
-	mid := m.id
-	finish := func(shard int) {
-		left--
-		if left > 0 {
+	m.report(shard, sim.Msg{Kind: op.kind, A: int32(m.id), B: int32(op.x), C: int32(op.y)})
+}
+
+// applyOp runs shard's part of a rollout op inside the shard's context.
+// Upgrade commits the rollout version through enokic's transactional path.
+// Probe reads the module's health. Rollback restores the previous
+// generation where the shard still serves the rollout version — a shard
+// that never committed (or whose module is dead) has nothing to undo and
+// counts as already off the new generation.
+func (m *Machine) applyOp(shard int, op *agentOp) {
+	a := m.ads[shard]
+	version := op.r.cfg.Version
+	done := func(rep enokic.UpgradeReport) {
+		op.tally(rep)
+		m.resolved(shard, op)
+	}
+	var err error
+	switch op.kind {
+	case msgUpgrade:
+		mid, factory := m.id, op.r.cfg.Factory
+		err = a.UpgradeTo(version, func(env core.Env) core.Scheduler { return factory(mid, env) }, done)
+	case msgProbe:
+		if a.Killed() {
+			op.y++
+		} else if a.Version() == version {
+			op.x++
+		}
+		m.resolved(shard, op)
+	case msgRollback:
+		if a.Killed() || a.Version() != version {
+			m.resolved(shard, op)
 			return
 		}
-		out := *sum
-		m.report(shard, func(*jobScheduler) { r.rollbackAck(mid, out) })
+		err = a.Rollback(done)
 	}
-	version := r.cfg.Version
-	for s, ad := range m.ads {
-		if ad == nil {
-			continue
-		}
-		shard, a := s, ad
-		m.sk.Inject(shard, at, func() {
-			if a.Killed() || a.Version() != version {
-				sum.Committed++
-				finish(shard)
-				return
-			}
-			err := a.Rollback(func(rep enokic.UpgradeReport) {
-				switch {
-				case rep.Err != nil:
-					sum.Errs++
-				case rep.RolledBack:
-					// The rollback transaction itself aborted: the new
-					// generation kept serving, which defeats the halt.
-					sum.RolledBack++
-				default:
-					sum.Committed++
-				}
-				finish(shard)
-			})
-			if err != nil {
-				sum.Errs++
-				finish(shard)
-			}
-		})
+	if err != nil {
+		op.y++
+		m.resolved(shard, op)
 	}
 }

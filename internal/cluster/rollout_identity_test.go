@@ -19,10 +19,28 @@ import (
 // rolloutRun is everything a fleet drive with a rollout produces that must
 // be identical between serial and parallel modes.
 type rolloutRun struct {
-	logs   [][][]byte // [machine][shard]
-	jobs   []cluster.Job
-	stats  cluster.Stats
-	report cluster.RolloutReport
+	logs          [][][]byte // [machine][shard]
+	jobs          []cluster.Job
+	stats         cluster.Stats
+	report        cluster.RolloutReport
+	machineEvents uint64
+}
+
+func (r rolloutRun) digest() uint64 {
+	return runDigest(r.stats, r.machineEvents, r.jobs, r.logs, r.report)
+}
+
+// goldenRolloutDigest pins each class and variant to the exact outcome of
+// the closure-message executor, like goldenFleetDigest. The clean variant
+// covers upgrade and probe acks, the canaryfail variant rollback acks, and
+// both cover migrations and a machine kill.
+var goldenRolloutDigest = map[string]uint64{
+	"fifo/clean":          0xe153e6a0cdc3b2a9,
+	"fifo/canaryfail":     0x33707824dbe4a988,
+	"wfq/clean":           0x64f2539c2988d0b2,
+	"wfq/canaryfail":      0xd9bd5bc02455f54f,
+	"shinjuku/clean":      0xb29b20a1d4f97078,
+	"shinjuku/canaryfail": 0x4df1e23e37959a77,
 }
 
 // recordRolloutRun drives one seeded cluster workload for case c with a
@@ -107,6 +125,9 @@ func recordRolloutRun(c conformance.Case, m kernel.Machine, seed uint64, paralle
 	for i := 0; i < cl.NumJobs(); i++ {
 		out.jobs = append(out.jobs, cl.Job(i))
 	}
+	for mi := 0; mi < machines; mi++ {
+		out.machineEvents += cl.Machine(mi).Sharded().EventsFired()
+	}
 	return out
 }
 
@@ -145,6 +166,9 @@ func TestRolloutIdentity(t *testing.T) {
 				}
 				if !reflect.DeepEqual(serial.report, par.report) {
 					t.Fatalf("rollout reports diverge:\nserial   %+v\nparallel %+v", serial.report, par.report)
+				}
+				if got, want := serial.digest(), goldenRolloutDigest[c.Name+"/"+variant.name]; got != want {
+					t.Errorf("run digest %#016x, golden %#016x: the rollout outcome changed", got, want)
 				}
 				if len(serial.jobs) != len(par.jobs) {
 					t.Fatalf("job counts diverge: %d vs %d", len(serial.jobs), len(par.jobs))

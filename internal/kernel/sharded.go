@@ -201,11 +201,15 @@ func (sk *ShardedKernel) RunUntil(t ktime.Time) { sk.ex.RunUntil(t) }
 // shard events or in-flight cross-shard messages. Call it between runs.
 func (sk *ShardedKernel) NextEventTime() (ktime.Time, bool) { return sk.ex.NextEventTime() }
 
-// Inject commits fn for execution on shard `to` of this machine at absolute
-// virtual time at, from a fleet-level coordinator between machine epochs
-// (see sim.Sharded.Inject). This is how cluster-level commands — job starts,
-// stops, control messages — enter a machine deterministically.
-func (sk *ShardedKernel) Inject(to int, at ktime.Time, fn func()) { sk.ex.Inject(to, at, fn) }
+// SetInjectHandler registers the function injected records are delivered
+// to, inside the target shard's context (see sim.Sharded.SetInjectHandler).
+func (sk *ShardedKernel) SetInjectHandler(h func(shard int, m sim.Msg)) { sk.ex.SetInjectHandler(h) }
+
+// Inject commits record m for delivery on shard `to` of this machine at
+// absolute virtual time at, from a fleet-level coordinator between machine
+// epochs (see sim.Sharded.Inject). This is how cluster-level commands — job
+// starts, stops, control messages — enter a machine deterministically.
+func (sk *ShardedKernel) Inject(to int, at ktime.Time, m sim.Msg) { sk.ex.Inject(to, at, m) }
 
 // RunUntilIdle runs until every shard's event queue drains and no message is
 // in flight.

@@ -18,20 +18,24 @@
 // what makes the order total and the serial and parallel fleet drives
 // byte-identical.
 //
-// Delivery differs from Sharded in one way: a committed message's closure
-// runs on the coordinator goroutine at the epoch boundary, while every node
-// is quiescent at the global floor. The closure's job is to hand the payload
-// to the destination node's own deterministic executor (Sharded.Inject,
-// Engine.PostAt) for execution at the delivery instant inside that node's
-// context — the fleet commits, the node executes.
+// Every fleet message is a typed record (Msg): a kind plus three int32
+// words, with no closure, so a send allocates nothing. Delivery differs
+// from Sharded in one way: a committed record goes to its destination
+// node's handler (SetHandler), which runs on the coordinator goroutine at
+// the epoch boundary, while every node is quiescent at the global floor.
+// The handler's job is to hand the payload to the node's own deterministic
+// executor (Sharded.Inject, Engine.PostAt) for execution at the delivery
+// instant inside that node's context — the fleet commits, the node
+// executes.
 //
 // Fail-stop machine failure is part of the protocol: Kill freezes a node at
 // the current floor. A dead node no longer advances, its pending events
 // never fire, and messages addressed to it are dropped at commitment time
-// (counted in MsgsDropped). Because kills are delivered as ordinary messages
-// they land on an epoch boundary at the same virtual instant in serial and
-// parallel drives, so a machine-failure campaign is as reproducible as a
-// healthy run.
+// (counted in MsgsDropped). A KindKill record is the executor's own message:
+// committing it kills its destination, with no handler involved. Because
+// kills are delivered as ordinary messages they land on an epoch boundary
+// at the same virtual instant in serial and parallel drives, so a
+// machine-failure campaign is as reproducible as a healthy run.
 package sim
 
 import (
@@ -53,6 +57,7 @@ type FleetNode interface {
 // Fleet runs N FleetNodes under the epoch-merge protocol.
 type Fleet struct {
 	nodes     []FleetNode
+	handlers  []func(at ktime.Time, m Msg)
 	dead      []bool
 	lookahead ktime.Duration
 	parallel  bool
@@ -91,9 +96,16 @@ func (f *Fleet) AddNode(n FleetNode) int {
 		panic("sim: Fleet.AddNode after the fleet started running")
 	}
 	f.nodes = append(f.nodes, n)
+	f.handlers = append(f.handlers, nil)
 	f.dead = append(f.dead, false)
 	return len(f.nodes) - 1
 }
+
+// SetHandler registers the function every record committed for node is
+// delivered to. h runs on the coordinator with every node quiescent at the
+// floor and receives the record's due instant; it is called once per
+// record, in merge order. Register it once, before the first run.
+func (f *Fleet) SetHandler(node int, h func(at ktime.Time, m Msg)) { f.handlers[node] = h }
 
 // AddSource allocates a send context owned by node. Sends from one source
 // must be serialized by the caller (use one source per independent execution
@@ -143,9 +155,8 @@ func (f *Fleet) Alive(i int) bool { return !f.dead[i] }
 
 // Kill freezes node i at the current floor: it stops advancing, its pending
 // events never fire, and undelivered messages addressed to it are dropped.
-// Call it from a commitment closure (the deterministic way to fail a machine
-// at a virtual instant — send a message to the victim whose closure calls
-// Kill) or between runs. Killing a dead node is a no-op.
+// Call it between runs; the deterministic way to fail a node at a virtual
+// instant is to Send it a KindKill record. Killing a dead node is a no-op.
 func (f *Fleet) Kill(i int) { f.dead[i] = true }
 
 // SetParallel selects the drive mode: true fans each epoch out to one worker
@@ -153,53 +164,59 @@ func (f *Fleet) Kill(i int) { f.dead[i] = true }
 // goroutine. Both produce bit-identical simulations.
 func (f *Fleet) SetParallel(on bool) { f.parallel = on }
 
-// Send submits fn for commitment toward node `to` at absolute virtual time
-// `at`. It must be called from source src's execution context (or between
-// runs), and `at` must be at least the source node's now plus the lookahead.
-// The closure runs on the coordinator at the first productive point at or
-// after `at`, with every node quiescent at the global floor — so it may
-// observe fleet and node state as of the delivery instant (Kill rides a
-// plain Send for exactly this reason). Each distinct Send instant ends an
-// epoch window; high-rate traffic whose closures are pure handoffs should
-// use SendHandoff instead, which commits early and keeps the windows wide.
-func (f *Fleet) Send(src, to int, at ktime.Time, fn func()) {
-	f.send(src, to, at, fn, false)
+// Send submits record m for commitment toward node `to` at absolute
+// virtual time `at`. It must be called from source src's execution context
+// (or between runs), and `at` must be at least the source node's now plus
+// the lookahead. The record is committed on the coordinator at the first
+// productive point at or after `at`, with every node quiescent at the
+// global floor — so its handler may observe fleet and node state as of the
+// delivery instant (KindKill rides Send for exactly this reason). Each
+// distinct Send instant ends an epoch window; high-rate traffic whose
+// handlers are pure handoffs should use SendHandoff instead, which commits
+// early and keeps the windows wide.
+func (f *Fleet) Send(src, to int, at ktime.Time, m Msg) {
+	f.send(src, to, at, m, false)
 }
 
-// SendHandoff is Send for pure-handoff commitments: fn must confine itself
-// to scheduling work on the destination node's executor at `at`
-// (Sharded.Inject, Engine.PostAt) without reading any simulation state at
-// commitment time. In exchange, the fleet may commit it up to a whole epoch
-// window early — the destination executor runs the payload at `at` either
-// way, but the epoch loop no longer chops a window (and pays a full fleet
-// scan) per message instant. This is the hot path for cluster-scale
-// traffic; anything whose closure observes the floor stays on Send.
-func (f *Fleet) SendHandoff(src, to int, at ktime.Time, fn func()) {
-	f.send(src, to, at, fn, true)
+// SendHandoff is Send for pure-handoff commitments: the destination's
+// handler must confine itself to scheduling work on the node's executor at
+// `at` (Sharded.Inject, Engine.PostAt) without reading the node's
+// simulation state at commitment time. In exchange, the fleet may commit it
+// up to a whole epoch window early — the destination executor runs the
+// payload at `at` either way, but the epoch loop no longer chops a window
+// (and pays a full fleet scan) per message instant. This is the hot path
+// for cluster-scale traffic; anything whose handling observes the floor
+// stays on Send.
+func (f *Fleet) SendHandoff(src, to int, at ktime.Time, m Msg) {
+	if m.Kind == KindKill {
+		panic("sim: KindKill must ride Fleet.Send, not SendHandoff")
+	}
+	f.send(src, to, at, m, true)
 }
 
-func (f *Fleet) send(src, to int, at ktime.Time, fn func(), handoff bool) {
+func (f *Fleet) send(src, to int, at ktime.Time, m Msg, handoff bool) {
 	nd := f.srcNode[src]
 	if min := f.nodes[nd].Now().Add(f.lookahead); at < min {
 		panic(fmt.Sprintf("sim: fleet send at %v under lookahead floor %v (source %d on node %d → %d)",
 			at, min, src, nd, to))
 	}
 	f.sendSeq[src]++
-	f.out[src] = append(f.out[src], smsg{at: at, to: to, from: src, seq: f.sendSeq[src], fn: fn, handoff: handoff})
+	sm := recordMsg(at, to, src, f.sendSeq[src], m)
+	sm.handoff = handoff
+	f.out[src] = append(f.out[src], sm)
 }
 
 // deliver commits every pending message due at or before upTo, in merge
 // order, on the coordinator goroutine. Messages to dead nodes are dropped;
-// a commitment may itself Kill a node, affecting later messages in the same
-// batch (the order is fixed, so this too is deterministic).
+// a KindKill commitment kills its destination, affecting later messages in
+// the same batch (the order is fixed, so this too is deterministic).
 func (f *Fleet) deliver(upTo ktime.Time) {
 	n := 0
 	for n < len(f.pending) && f.pending[n].at <= upTo {
 		n++
 	}
 	for j := 0; j < n; j++ {
-		m := f.pending[j]
-		f.pending[j].fn = nil
+		m := &f.pending[j]
 		if !m.handoff {
 			f.floorMsgs--
 		}
@@ -208,7 +225,15 @@ func (f *Fleet) deliver(upTo ktime.Time) {
 			continue
 		}
 		f.delivered++
-		m.fn()
+		if m.kind == KindKill {
+			f.Kill(int(m.to))
+			continue
+		}
+		h := f.handlers[m.to]
+		if h == nil {
+			panic(fmt.Sprintf("sim: fleet record (kind %d) for node %d, which has no handler", m.kind, m.to))
+		}
+		h(m.at, m.record())
 	}
 	if n > 0 {
 		rest := copy(f.pending, f.pending[n:])
@@ -344,7 +369,7 @@ func (f *Fleet) run(t ktime.Time, advance bool) {
 		if end > t {
 			end = t
 		}
-		// Only floor-observing messages chop the window: their closures may
+		// Only floor-observing messages chop the window: their handlers may
 		// read state as of their instant, so they must run with the fleet at
 		// exactly that point. Handoff messages due inside the window are
 		// committed before the epoch launches — each one hands its work to

@@ -9,8 +9,8 @@ import (
 )
 
 // fleetPingPong builds a deterministic fleet of plain engines: every node
-// runs a local event chain and periodically sends a message to the next
-// node, whose commitment posts the log entry into the destination engine at
+// runs a local event chain and periodically sends a record to the next
+// node, whose handler posts the log entry into the destination engine at
 // the delivery instant. Returns the per-node logs.
 func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 	la := 20 * time.Microsecond
@@ -21,9 +21,17 @@ func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 	srcs := make([]int, nodes)
 	logs := make([][]string, nodes)
 	for i := 0; i < nodes; i++ {
+		i := i
 		engs[i] = New()
 		f.AddNode(engs[i])
 		srcs[i] = f.AddSource(i)
+		// Commitment: hand the payload to the destination engine for
+		// execution at the delivery instant.
+		f.SetHandler(i, func(at ktime.Time, m Msg) {
+			engs[i].PostAt(at, func() {
+				logs[i] = append(logs[i], fmt.Sprintf("msg from %d @%d", m.A, engs[i].Now()))
+			})
+		})
 	}
 	for i := 0; i < nodes; i++ {
 		i := i
@@ -39,13 +47,7 @@ func fleetPingPong(parallel bool, nodes, rounds int) [][]string {
 			if n%3 == 0 {
 				to := (i + 1) % nodes
 				at := eng.Now().Add(ktime.Duration(la) + ktime.Duration(i)*100)
-				f.Send(srcs[i], to, at, func() {
-					// Commitment: hand the payload to the destination
-					// engine for execution at the delivery instant.
-					engs[to].PostAt(at, func() {
-						logs[to] = append(logs[to], fmt.Sprintf("msg from %d @%d", i, engs[to].Now()))
-					})
-				})
+				f.Send(srcs[i], to, at, Msg{A: int32(i)})
 			}
 		}
 		eng.Post(time.Microsecond, local)
@@ -87,6 +89,7 @@ func TestFleetShardedNodes(t *testing.T) {
 		srcs := make([]int, machines)
 		logs := make([][]string, machines)
 		for m := 0; m < machines; m++ {
+			m := m
 			sk[m] = NewSharded(shardsPer, ipiLA)
 			defer sk[m].Close()
 			sk[m].SetParallel(machinePar)
@@ -94,6 +97,13 @@ func TestFleetShardedNodes(t *testing.T) {
 			// One fleet source per machine: all sends below originate from
 			// shard 0's context.
 			srcs[m] = f.AddSource(m)
+			// Commitment: inject into the destination machine on the shard
+			// the record names.
+			f.SetHandler(m, func(at ktime.Time, msg Msg) { sk[m].Inject(int(msg.B), at, msg) })
+			sk[m].SetInjectHandler(func(shard int, msg Msg) {
+				logs[m] = append(logs[m], fmt.Sprintf("m%d got msg from %d on shard %d @%d",
+					m, msg.A, shard, sk[m].Shard(shard).Now()))
+			})
 		}
 		for m := 0; m < machines; m++ {
 			m := m
@@ -109,15 +119,8 @@ func TestFleetShardedNodes(t *testing.T) {
 				if n%4 == 0 {
 					to := (m + 1) % machines
 					at := eng.Now().Add(ktime.Duration(netLA))
-					f.Send(srcs[m], to, at, func() {
-						// Commitment: inject into the destination machine,
-						// alternating target shards.
-						shard := n % shardsPer
-						sk[to].Inject(shard, at, func() {
-							logs[to] = append(logs[to], fmt.Sprintf("m%d got msg from %d on shard %d @%d",
-								to, m, shard, sk[to].Shard(shard).Now()))
-						})
-					})
+					// Alternate the target shards.
+					f.Send(srcs[m], to, at, Msg{A: int32(m), B: int32(n % shardsPer)})
 				}
 			}
 			eng.Post(time.Microsecond, local)
@@ -174,10 +177,13 @@ func TestFleetKill(t *testing.T) {
 		// Kill node 1 at t=50µs via a fleet message, then keep sending to the
 		// corpse: those sends must be dropped.
 		killAt := ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond))
-		f.Send(src0, 1, killAt, func() { f.Kill(1) })
+		f.Send(src0, 1, killAt, Msg{Kind: KindKill})
+		f.SetHandler(1, func(at ktime.Time, _ Msg) {
+			engs[1].PostAt(at, func() { vLog = append(vLog, "ghost") })
+		})
 		for i := 1; i <= 5; i++ {
 			at := killAt.Add(ktime.Duration(i) * ktime.Duration(10*time.Microsecond))
-			f.Send(src0, 1, at, func() { engs[1].PostAt(at, func() { vLog = append(vLog, "ghost") }) })
+			f.Send(src0, 1, at, Msg{})
 		}
 		f.RunUntil(ktime.Time(0).Add(ktime.Duration(300 * time.Microsecond)))
 		return sLog, vLog, f.MsgsDropped(), engs[1].Now()
@@ -218,7 +224,40 @@ func TestFleetSendUnderLookaheadPanics(t *testing.T) {
 			t.Fatal("send under the lookahead floor did not panic")
 		}
 	}()
-	f.Send(src, 1, ktime.Time(0).Add(ktime.Duration(time.Microsecond)), func() {})
+	f.Send(src, 1, ktime.Time(0).Add(ktime.Duration(time.Microsecond)), Msg{})
+}
+
+// TestFleetKillRecordMisuse pins the two ways a KindKill record or a plain
+// record can go wrong: a kill riding the handoff path (which commits early,
+// before the floor reaches the kill instant) and a record for a node that
+// registered no handler. Both must panic rather than misdeliver.
+func TestFleetKillRecordMisuse(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	at := ktime.Time(0).Add(ktime.Duration(20 * time.Microsecond))
+	mustPanic("KindKill through SendHandoff", func() {
+		f := NewFleet(10 * time.Microsecond)
+		f.AddNode(New())
+		f.AddNode(New())
+		f.SendHandoff(f.AddSource(0), 1, at, Msg{Kind: KindKill})
+	})
+	mustPanic("record for a node without a handler", func() {
+		f := NewFleet(10 * time.Microsecond)
+		f.AddNode(New())
+		f.AddNode(New())
+		f.Send(f.AddSource(0), 1, at, Msg{})
+		f.RunUntilIdle()
+	})
+	mustPanic("Inject without a handler", func() {
+		NewSharded(2, 5*time.Microsecond).Inject(0, at, Msg{})
+	})
 }
 
 // TestFleetRunUntilComposes checks that back-to-back RunUntil calls behave
@@ -252,18 +291,21 @@ func TestShardedInjectOrdering(t *testing.T) {
 		defer s.Close()
 		s.SetParallel(parallel)
 		var log []string
+		s.SetInjectHandler(func(shard int, m Msg) {
+			log = append(log, fmt.Sprintf("inject %c on %d", rune(m.A), shard))
+		})
 		at := ktime.Time(0).Add(ktime.Duration(20 * time.Microsecond))
 		// A shard-1 → shard-0 message at the same instant as two injections:
 		// the injections (source -1) must deliver first.
 		s.Shard(1).Post(10*time.Microsecond, func() {
 			s.Send(1, 0, at, func() { log = append(log, "from shard 1") })
 		})
-		s.Inject(0, at, func() { log = append(log, "inject A") })
-		s.Inject(0, at, func() { log = append(log, "inject B") })
+		s.Inject(0, at, Msg{A: 'A'})
+		s.Inject(0, at, Msg{A: 'B'})
 		s.RunUntilIdle()
 		return log
 	}
-	want := []string{"inject A", "inject B", "from shard 1"}
+	want := []string{"inject A on 0", "inject B on 0", "from shard 1"}
 	for _, par := range []bool{false, true} {
 		got := run(par)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -284,7 +326,8 @@ func TestShardedNextEventTime(t *testing.T) {
 		t.Fatalf("NextEventTime = %v,%v want 40µs", at, ok)
 	}
 	msgAt := ktime.Time(0).Add(ktime.Duration(10 * time.Microsecond))
-	s.Inject(0, msgAt, func() {})
+	s.SetInjectHandler(func(int, Msg) {})
+	s.Inject(0, msgAt, Msg{})
 	if at, ok := s.NextEventTime(); !ok || at != msgAt {
 		t.Fatalf("NextEventTime = %v,%v want 10µs (pending message)", at, ok)
 	}

@@ -29,8 +29,8 @@ func TestSmsgOrderTotal(t *testing.T) {
 			seqs[src]++
 			msgs = append(msgs, smsg{
 				at:   ktime.Time(rng.Intn(8)), // few instants → many ties
-				to:   int(rng.Intn(3)),
-				from: src,
+				to:   int32(rng.Intn(3)),
+				from: int32(src),
 				seq:  seqs[src],
 			})
 		}
@@ -122,13 +122,15 @@ func TestFleetSeqMonotonicAcrossRuns(t *testing.T) {
 	f.AddNode(e1)
 	src := f.AddSource(0)
 	var log []string
+	names := []string{"first", "second"}
+	f.SetHandler(1, func(_ ktime.Time, m Msg) { log = append(log, names[m.A]) })
 	target := ktime.Time(0).Add(ktime.Duration(200 * time.Microsecond))
 	e0.Post(time.Microsecond, func() {
-		f.Send(src, 1, target, func() { log = append(log, "first") })
+		f.Send(src, 1, target, Msg{A: 0})
 	})
 	f.RunUntil(ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond)))
 	e0.Post(10*time.Microsecond, func() { // fires at 60µs, a later fleet run
-		f.Send(src, 1, target, func() { log = append(log, "second") })
+		f.Send(src, 1, target, Msg{A: 1})
 	})
 	f.RunUntilIdle()
 	if fmt.Sprint(log) != "[first second]" {

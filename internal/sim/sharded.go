@@ -21,6 +21,11 @@
 // engine event bracketed by the batch hooks, so one merge round covers a
 // whole shard's deliveries (the kernel points the hooks at its IPI batch
 // window: one flush per shard per epoch instead of one kick per message).
+//
+// Shard-to-shard sends (Send) carry a closure, run inside the destination
+// shard. Injections from outside every shard (Inject) carry a typed Msg
+// record instead, delivered to the one handler the executor's owner
+// registers with SetInjectHandler.
 package sim
 
 import (
@@ -33,27 +38,61 @@ import (
 // maxTime is the largest representable virtual instant.
 const maxTime = ktime.Time(math.MaxInt64)
 
-// smsg is one cross-shard message. The (at, to, from, seq) tuple is the
-// total delivery order: seq is monotonic per source for the life of the
-// executor — never wrapped, never reset between epochs or runs — so two
-// distinct messages can never compare equal. A per-epoch or per-run seq
-// reset would silently break the byte-identity guarantee: two same-instant
-// messages from one source would tie, and the sort (which is not stable
-// across heapsort/insertion regimes) could order them differently between
-// the serial and parallel drives. TestSmsgOrderTotal pins the totality;
-// TestShardedSeqMonotonicAcrossEpochs pins the no-reset property.
+// MsgKind tags a message record. Its meaning belongs to the destination's
+// handler, except KindKill, which the fleet executor handles itself.
+type MsgKind uint8
+
+// KindKill is the fleet's own fail-stop record: committing it kills the
+// destination node (see Fleet.Kill). It must ride Fleet.Send, and no
+// handler ever sees it.
+const KindKill MsgKind = math.MaxUint8
+
+// Msg is a typed message record: a kind plus three int32 words whose
+// meaning the kind defines. A record holds no closure and no pointer, so
+// sending one allocates nothing and the executors keep it inline in their
+// fixed-size message slots.
+type Msg struct {
+	Kind    MsgKind
+	A, B, C int32
+}
+
+// smsg is one cross-shard or cross-node message. The (at, to, from, seq)
+// tuple is the total delivery order: seq is monotonic per source for the
+// life of the executor — never wrapped, never reset between epochs or runs
+// — so two distinct messages can never compare equal. A per-epoch or
+// per-run seq reset would silently break the byte-identity guarantee: two
+// same-instant messages from one source would tie, and the sort (which is
+// not stable across heapsort/insertion regimes) could order them
+// differently between the serial and parallel drives. TestSmsgOrderTotal
+// pins the totality; TestShardedSeqMonotonicAcrossEpochs pins the no-reset
+// property.
+//
+// The payload is either fn (Sharded.Send) or the record fields (every other
+// send). They sit in the space int32 endpoints leave free, so the slot
+// stays 48 bytes; TestMessageRecordSizes pins that.
 type smsg struct {
 	at       ktime.Time
-	to, from int
 	seq      uint64
 	fn       func()
+	to, from int32
+	a, b, c  int32
+	kind     MsgKind
 	// handoff marks a fleet-level commitment as a pure handoff
-	// (Fleet.SendHandoff): the closure only schedules work on the
+	// (Fleet.SendHandoff): the handler only schedules work on the
 	// destination executor at the message instant, so the fleet may commit
 	// it a whole epoch window early. Unset, the commitment runs at the
 	// first productive point at or after its instant (Fleet.Send).
 	// Shard-level messages never set it.
 	handoff bool
+}
+
+// record returns the message's typed payload.
+func (m *smsg) record() Msg { return Msg{Kind: m.kind, A: m.a, B: m.b, C: m.c} }
+
+// recordMsg builds the slot of a record message.
+func recordMsg(at ktime.Time, to, from int, seq uint64, m Msg) smsg {
+	return smsg{at: at, seq: seq, to: int32(to), from: int32(from),
+		a: m.A, b: m.B, c: m.C, kind: m.Kind}
 }
 
 func (a smsg) less(b smsg) bool {
@@ -89,6 +128,7 @@ type Sharded struct {
 	extSeq  uint64 // Inject sequence (source -1) — monotonic, never reset
 	in      []inbox
 	drainFn []func()
+	handler func(shard int, m Msg)
 
 	beginHook, endHook func(shard int)
 
@@ -193,12 +233,18 @@ func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
 			at, min, from, to))
 	}
 	s.sendSeq[from]++
-	s.out[from] = append(s.out[from], smsg{at: at, to: to, from: from, seq: s.sendSeq[from], fn: fn})
+	s.out[from] = append(s.out[from], smsg{at: at, to: int32(to), from: int32(from), seq: s.sendSeq[from], fn: fn})
 }
 
-// Inject commits fn for execution on shard `to` at absolute virtual time
-// `at`, from outside every shard's execution context — the fleet-level
-// coordinator between machine epochs, or test setup between runs. Injected
+// SetInjectHandler registers the function every injected record is
+// delivered to: h runs inside shard `shard`'s execution context at the
+// record's instant. Register it once, before the first Inject.
+func (s *Sharded) SetInjectHandler(h func(shard int, m Msg)) { s.handler = h }
+
+// Inject commits record m for delivery to the inject handler on shard `to`
+// at absolute virtual time `at`, from outside every shard's execution
+// context — the fleet-level coordinator between machine epochs, or test
+// setup between runs. Injected
 // messages join the ordinary pending set under the (at, to, from, seq)
 // order with the reserved source -1, so at one instant they deliver before
 // any shard's own traffic, in injection order (extSeq is monotonic for the
@@ -211,12 +257,15 @@ func (s *Sharded) Send(from, to int, at ktime.Time, fn func()) {
 // coordinator, every shard sits at or before `at`, and determinism comes
 // from the caller itself being deterministic. Injecting into the past of
 // the executor floor panics.
-func (s *Sharded) Inject(to int, at ktime.Time, fn func()) {
+func (s *Sharded) Inject(to int, at ktime.Time, m Msg) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: Inject at %v before executor floor %v (shard %d)", at, s.now, to))
 	}
+	if s.handler == nil {
+		panic("sim: Inject before SetInjectHandler")
+	}
 	s.extSeq++
-	s.pending = append(s.pending, smsg{at: at, to: to, from: -1, seq: s.extSeq, fn: fn})
+	s.pending = append(s.pending, recordMsg(at, to, -1, s.extSeq, m))
 	mergeNewSmsgs(s.pending, len(s.pending)-1)
 }
 
@@ -245,10 +294,14 @@ func (s *Sharded) drain(i int) {
 		s.beginHook(i)
 	}
 	for ib.head < len(ib.q) && ib.q[ib.head].at == now {
-		fn := ib.q[ib.head].fn
-		ib.q[ib.head].fn = nil
+		m := &ib.q[ib.head]
 		ib.head++
-		fn()
+		if fn := m.fn; fn != nil {
+			m.fn = nil
+			fn()
+		} else {
+			s.handler(i, m.record())
+		}
 	}
 	if s.endHook != nil {
 		s.endHook(i)

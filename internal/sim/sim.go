@@ -6,8 +6,13 @@
 // fully deterministic.
 //
 // The engine is deliberately tiny: the kernel package layers CPUs, run
-// queues, and timers on top of it. Events are plain closures. An event can be
-// cancelled by its handle; cancellation is O(1) (the event is tombstoned and
+// queues, and timers on top of it. Events are plain closures. Messages
+// between executors mostly are not: a fleet send (Fleet.Send, SendHandoff)
+// or a shard injection (Sharded.Inject) carries a typed Msg record — a kind
+// plus three int32 words — delivered to a handler its destination registers
+// once (Fleet.SetHandler, Sharded.SetInjectHandler), so the cluster message
+// path allocates nothing per message. Only shard-to-shard Sharded.Send
+// still carries a closure. An event can be cancelled by its handle; cancellation is O(1) (the event is tombstoned and
 // skipped when popped), which matters because the kernel cancels and re-arms
 // per-CPU completion events on every preemption. Arming is O(1) too: the
 // near wheel files the event straight into its time slot, and re-arming a

@@ -54,14 +54,14 @@ bench-overload:
 
 # Fleet gate mirroring the CI job: the whole cluster control plane under the
 # race detector — placement, migration, failover, Close lifecycle, the
-# golden fleet and rollout digests — plus the fleet executor's
-# serial-vs-parallel identity, the machine-kill chaos replay, and the
-# scaled-down fleet benchmark's fingerprint check. The last step runs the
-# per-job allocation ratchet and the message-record size guard without the
-# race detector.
+# golden fleet and rollout digests — plus the machine-kill chaos replay and
+# the scaled-down fleet benchmark's fingerprint check (the epoch executor's
+# own tests run in `make sharded`). The last step runs the per-job
+# allocation ratchet and the message-record size guard without the race
+# detector.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
-	$(GO) test -race -run 'TestFleet' -count=1 ./internal/sim ./internal/chaos ./internal/bench
+	$(GO) test -race -run 'TestFleet' -count=1 ./internal/chaos ./internal/bench
 	$(GO) test -run 'TestFleetJobAllocRatchet|TestMessageRecordSizes' -count=1 ./internal/cluster ./internal/sim
 
 # Rollout gate mirroring the CI job: the canary-upgrade state machine under
@@ -86,11 +86,13 @@ overload:
 	$(GO) test -race -run 'TestOffer|TestSubmitBypassesAdmission' -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestRunOverloadSmoke' -count=1 ./internal/bench
 
-# Sharded-executor gate mirroring the CI job: serial-vs-parallel record-log
-# identity and conformance for every scheduler class under the race detector,
-# plus the sharded allocation ratchet.
+# Epoch-executor gate mirroring the CI job: the executor's own tests over
+# both node shapes, then serial-vs-parallel record-log identity, golden
+# digests and conformance for every scheduler class, all under the race
+# detector, plus the remote-wake and sharded allocation ratchets.
 sharded:
-	$(GO) test -race -run 'TestSharded' -count=1 ./internal/sim ./internal/schedtest/conformance ./internal/chaos
+	$(GO) test -race -count=1 ./internal/sim
+	$(GO) test -race -run 'TestSharded' -count=1 ./internal/schedtest/conformance ./internal/chaos
 	$(GO) test -race -run 'TestRemoteWake|TestScheduleOpShardedZeroAlloc' -count=1 ./internal/kernel
 
 # Verified-tier gate mirroring the CI job: the bytecode verifier, interpreter

@@ -115,9 +115,9 @@ func fleetDrive(machines int, m kernel.Machine, jobs int, killAt time.Duration, 
 
 // fleetScale sizes the fleet for a per-machine template: the 8-CPU headline
 // is 1,000 machines and one million jobs (the handoff fast path in the
-// fleet executor is what makes that tractable — see sim.Fleet.SendHandoff);
-// bigger machines trade fleet width for per-machine depth so every variant
-// stays tractable.
+// fleet executor is what makes that tractable — see
+// sim.Executor.SendHandoff); bigger machines trade fleet width for
+// per-machine depth so every variant stays tractable.
 func fleetScale(m kernel.Machine) (machines, jobs int) {
 	switch {
 	case m.NumCPUs >= 1000:

@@ -2,9 +2,36 @@ package chaos
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 )
+
+// shardedCampaignDigest hashes everything a sharded campaign observably
+// produced: every counter, every violation and every per-shard record log.
+func shardedCampaignDigest(r ShardedResult) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d/%d %d/%d %d %d %d\n", r.WorkloadDone, r.WorkloadTasks, r.PingersDone, r.Pingers,
+		r.MsgsDelivered, r.EventsFired, r.CtxSwitches)
+	for _, v := range r.Violations {
+		fmt.Fprintf(h, "%s\n", v)
+	}
+	for i, l := range r.Logs {
+		fmt.Fprintf(h, "log %d %d\n", i, len(l))
+		h.Write(l)
+	}
+	return h.Sum64()
+}
+
+// goldenShardedCampaignDigest pins each seed's serial campaign to the exact
+// outcome of the executor this test was first written against, which the
+// serial≡parallel comparison alone cannot see moving.
+var goldenShardedCampaignDigest = map[uint64]uint64{
+	1:          0xb683e6333d58d081,
+	0x5eed:     0xc20f167772b71958,
+	0xbeefcafe: 0x3cf29a865d592f77,
+}
 
 // TestShardedCampaignIdentity is the chaos arm of the sharded determinism
 // gate: with kernel fault windows armed on every shard, the serial and
@@ -19,6 +46,9 @@ func TestShardedCampaignIdentity(t *testing.T) {
 
 		if serial.MsgsDelivered == 0 {
 			t.Fatalf("seed %#x: no cross-shard messages delivered", seed)
+		}
+		if got, want := shardedCampaignDigest(serial), goldenShardedCampaignDigest[seed]; got != want {
+			t.Errorf("seed %#x: campaign digest %#016x, golden %#016x: the sharded outcome changed", seed, got, want)
 		}
 		if serial.EventsFired != par.EventsFired || serial.CtxSwitches != par.CtxSwitches {
 			t.Fatalf("seed %#x: serial fired %d events / %d switches, parallel %d / %d",

@@ -1,7 +1,7 @@
 // Package cluster simulates a fleet of machines under one deterministic
 // clock: N sharded kernel stacks (one per machine, each a full Enoki
-// simulation) plus a control-plane engine, all members of a sim.Fleet whose
-// lookahead is the network latency. The control plane is a cluster job
+// simulation) plus a control-plane engine, all nodes of one sim.Executor
+// whose lookahead is the network latency. The control plane is a cluster job
 // scheduler in the jobScheduler/transformer/agent mold — a placer computes
 // desired placements, a reconciler diffs desired against actual state and
 // emits start/stop operations, and per-machine agents execute them — with
@@ -100,7 +100,7 @@ func (c Config) withDefaults() Config {
 // Cluster is a simulated fleet plus its control plane.
 type Cluster struct {
 	cfg      Config
-	fl       *sim.Fleet
+	fl       *sim.Executor
 	ctrl     *sim.Engine
 	ctrlNode int
 	ctrlSrc  int
@@ -110,19 +110,6 @@ type Cluster struct {
 	adm      *overload.Controller
 	jobClass map[int]int // job id → admission class, for jobs that entered via Offer
 	closed   bool
-
-	// inbox holds the reports committed for the control plane, in merge
-	// order; inHead is the next one to handle. One recycled drainFn event
-	// per instant handles every report due then.
-	inbox   []report
-	inHead  int
-	drainFn func()
-}
-
-// report is a machine report committed for the control plane.
-type report struct {
-	at  ktime.Time
-	msg sim.Msg
 }
 
 // New builds a cluster: fleet node 0 is the control-plane engine, nodes
@@ -132,15 +119,16 @@ func New(cfg Config) *Cluster {
 	if cfg.Machines < 1 {
 		panic("cluster: Config.Machines must be at least 1")
 	}
-	c := &Cluster{cfg: cfg, fl: sim.NewFleet(ktime.Duration(cfg.NetLatency)), ctrl: sim.New()}
+	c := &Cluster{cfg: cfg, fl: sim.NewExecutor(ktime.Duration(cfg.NetLatency)), ctrl: sim.New()}
 	if len(cfg.Admission) > 0 {
 		c.adm = overload.New(overload.Config{Classes: cfg.Admission})
 		c.jobClass = make(map[int]int)
 	}
 	c.ctrlNode = c.fl.AddNode(c.ctrl)
 	c.ctrlSrc = c.fl.AddSource(c.ctrlNode)
-	c.fl.SetHandler(c.ctrlNode, c.onReport)
-	c.drainFn = c.drainReports
+	// Reports queue on the control-plane engine and run at their instant,
+	// one event for every report due then.
+	c.fl.SetHandler(c.ctrlNode, sim.NewInbox(c.ctrl, c.handleReports).Push)
 	for i := 0; i < cfg.Machines; i++ {
 		c.machines = append(c.machines, newMachine(c, i))
 	}
@@ -196,46 +184,24 @@ func (c *Cluster) FailMachine(mi int, at time.Duration) {
 	c.ctrl.PostAt(t.Add(ktime.Duration(c.cfg.DetectDelay)), func() { c.sched.machineDead(mi) })
 }
 
-// onReport is the control plane's fleet handler. It runs on the coordinator
-// and only queues the report; drainReports handles it at its instant on the
-// control-plane engine, as one event for every report due then.
-func (c *Cluster) onReport(at ktime.Time, msg sim.Msg) {
-	if len(c.inbox) == 0 || c.inbox[len(c.inbox)-1].at != at {
-		c.ctrl.PostAt(at, c.drainFn)
-	}
-	c.inbox = append(c.inbox, report{at: at, msg: msg})
-}
-
-// drainReports handles every queued report due at the control plane's
-// current instant, in merge order.
-func (c *Cluster) drainReports() {
-	now := c.ctrl.Now()
-	for c.inHead < len(c.inbox) && c.inbox[c.inHead].at == now {
-		msg := c.inbox[c.inHead].msg
-		c.inHead++
-		c.handleReport(msg)
-	}
-	if c.inHead >= len(c.inbox) {
-		c.inbox = c.inbox[:0]
-		c.inHead = 0
-	}
-}
-
-// handleReport dispatches one machine report to the job state machine or
-// the rollout it acknowledges.
-func (c *Cluster) handleReport(msg sim.Msg) {
+// handleReports runs on the control-plane engine: it dispatches every
+// machine report due at the current instant, in merge order, to the job
+// state machine or the rollout it acknowledges.
+func (c *Cluster) handleReports(group []sim.Msg) {
 	s := c.sched
-	switch msg.Kind {
-	case msgStarted:
-		s.onStarted(int(msg.A), int(msg.B))
-	case msgStopped:
-		s.onStopped(int(msg.A), int(msg.B), int(msg.C))
-	case msgDone:
-		s.onDone(int(msg.A), int(msg.B))
-	case msgUpgrade, msgProbe, msgRollback:
-		c.rollout.ack(msg)
-	default:
-		panic(fmt.Sprintf("cluster: control plane got report kind %d", msg.Kind))
+	for _, msg := range group {
+		switch msg.Kind {
+		case msgStarted:
+			s.onStarted(int(msg.A), int(msg.B))
+		case msgStopped:
+			s.onStopped(int(msg.A), int(msg.B), int(msg.C))
+		case msgDone:
+			s.onDone(int(msg.A), int(msg.B))
+		case msgUpgrade, msgProbe, msgRollback:
+			c.rollout.ack(msg)
+		default:
+			panic(fmt.Sprintf("cluster: control plane got report kind %d", msg.Kind))
+		}
 	}
 }
 
@@ -268,7 +234,7 @@ func (c *Cluster) NumMachines() int { return len(c.machines) }
 func (c *Cluster) Machine(i int) *Machine { return c.machines[i] }
 
 // Fleet returns the underlying executor, for counters and advanced drives.
-func (c *Cluster) Fleet() *sim.Fleet { return c.fl }
+func (c *Cluster) Fleet() *sim.Executor { return c.fl }
 
 // Job returns a copy of job id's control-plane record.
 func (c *Cluster) Job(id int) Job { return *c.sched.jobs[id] }

@@ -96,7 +96,7 @@ type Kernel struct {
 	// ipiWindow mirrors the burst window even when batching is off, so
 	// unbatched wake kicks are still counted as sent IPIs.
 	ipiWindow bool
-	// ipiDepth counts nested window opens: the sharded executor brackets a
+	// ipiDepth counts nested window opens: the sharded kernel brackets a
 	// whole cross-shard delivery batch in one window, and each Wake inside
 	// it opens its own. Only the outermost close flushes, so a burst of
 	// remote wakes coalesces exactly like a local futex burst.
@@ -459,7 +459,7 @@ func (k *Kernel) ArmResched(cpu int, d time.Duration) {
 // immediately but are counted as sent IPIs, so batched and unbatched runs
 // report comparable IPIsSent numbers. Windows nest: the kernel opens one
 // per wake burst (segmentDone's wake loop, external Wake), and the sharded
-// executor opens an outer one around a whole cross-shard delivery batch;
+// kernel opens an outer one around a whole cross-shard delivery batch;
 // only the outermost close flushes.
 func (k *Kernel) beginBatch() {
 	k.ipiDepth++

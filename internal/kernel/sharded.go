@@ -1,10 +1,14 @@
 // ShardedKernel partitions a NUMA machine into one sub-kernel per node, each
-// on its own sim shard (sim.Sharded): shard i owns node i's CPUs, run queues,
-// timers, and scheduler class instances, and advances independently between
-// cross-node interactions. The only cross-shard traffic is the remote wake —
-// physically a cross-socket IPI, which is why the executor lookahead defaults
-// to the calibrated cross-node IPI latency: no real interaction is faster, so
-// the conservative epoch protocol loses nothing.
+// on its own engine, one node of a sim.Executor: shard i owns node i's CPUs,
+// run queues, timers, and scheduler class instances, and advances
+// independently between cross-node interactions. The only cross-shard
+// traffic is the remote wake — physically a cross-socket IPI, which is why
+// the executor lookahead defaults to the calibrated cross-node IPI latency:
+// no real interaction is faster, so the conservative epoch protocol loses
+// nothing. A remote wake travels as a kernel-reserved record carrying the
+// task's PID; every other record committed for a shard goes to the handler
+// registered with SetInjectHandler. Each shard's records drain through a
+// sim.Inbox, one IPI batch window per (shard, instant) group.
 //
 // The partition is also the performance story on large machines: every
 // kernel-side scan that is O(machine) in the single-kernel model — the NOHZ
@@ -12,21 +16,27 @@
 // O(node) here, and each shard's event queue holds a node's worth of timers
 // instead of the whole machine's. The sharded run is deterministic: driving
 // the shards serially or on worker goroutines yields bit-identical per-shard
-// simulations (see sim.Sharded), which the conformance suite pins by
+// simulations (see sim.Executor), which the conformance suite pins by
 // comparing per-shard record logs byte for byte.
 package kernel
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"enoki/internal/ktime"
 	"enoki/internal/sim"
 )
 
+// kindRemoteWake is the kernel's own record kind: A carries the PID of a
+// task owned by the destination shard. It sits just below sim.KindKill;
+// every other kind belongs to the SetInjectHandler handler.
+const kindRemoteWake sim.MsgKind = math.MaxUint8 - 1
+
 // ShardedKernel runs one Kernel per NUMA node under the epoch-merge executor.
 type ShardedKernel struct {
-	ex      *sim.Sharded
+	ex      *sim.Executor
 	machine Machine
 	costs   Costs
 	kernels []*Kernel
@@ -36,6 +46,7 @@ type ShardedKernel struct {
 	// crossWakes[i] counts remote wakes submitted by shard i; per-shard so
 	// the parallel drive updates it race-free.
 	crossWakes []uint64
+	handler    func(shard int, m sim.Msg)
 }
 
 // NewShardedKernel partitions m by NUMA node: one sub-kernel per node, each
@@ -56,7 +67,7 @@ func NewShardedKernel(m Machine, costs Costs, lookahead time.Duration) *ShardedK
 		lookahead = costs.IPIDeliver + costs.CrossNodeExtra
 	}
 	sk := &ShardedKernel{
-		ex:         sim.NewSharded(m.NumNodes, lookahead),
+		ex:         sim.NewExecutor(lookahead),
 		machine:    m,
 		costs:      costs,
 		kernels:    make([]*Kernel, m.NumNodes),
@@ -66,17 +77,31 @@ func NewShardedKernel(m Machine, costs Costs, lookahead time.Duration) *ShardedK
 	for nd := 0; nd < m.NumNodes; nd++ {
 		lo, hi := nodeRange(m, nd)
 		sk.base[nd] = lo
-		sub := subMachine(m, nd, lo, hi)
-		sk.kernels[nd] = New(sk.ex.Shard(nd), sub, costs)
+		eng := sim.New()
+		sk.kernels[nd] = New(eng, subMachine(m, nd, lo, hi), costs)
+		// Node nd, source nd: the shard index names the node and its one
+		// send context.
+		sk.ex.AddNode(eng)
+		sk.ex.AddSource(nd)
+		sk.ex.SetHandler(nd, sim.NewInbox(eng, func(group []sim.Msg) { sk.deliver(nd, group) }).Push)
 	}
-	// Cross-shard deliveries for one (shard, instant) batch run inside one
-	// IPI batch window: a burst of remote wakes flushes one kick per target
-	// CPU, exactly like a local wake burst.
-	sk.ex.SetBatchHooks(
-		func(i int) { sk.kernels[i].beginBatch() },
-		func(i int) { sk.kernels[i].flushBatch() },
-	)
 	return sk
+}
+
+// deliver runs one (shard, instant) group of committed records inside one
+// IPI batch window: a burst of remote wakes and injected records flushes
+// one kick per target CPU, exactly like a local wake burst.
+func (sk *ShardedKernel) deliver(shard int, group []sim.Msg) {
+	k := sk.kernels[shard]
+	k.beginBatch()
+	for _, m := range group {
+		if m.Kind != kindRemoteWake {
+			sk.handler(shard, m)
+		} else if t := k.TaskByPID(int(m.A)); t != nil {
+			k.Wake(t) // a task that exited in flight is gone: no-op
+		}
+	}
+	k.flushBatch()
 }
 
 // nodeRange returns the contiguous global CPU range [lo, hi) of node nd,
@@ -136,8 +161,9 @@ func (sk *ShardedKernel) NumShards() int { return len(sk.kernels) }
 // shard; tasks spawned through it live on that shard for their lifetime.
 func (sk *ShardedKernel) ShardKernel(i int) *Kernel { return sk.kernels[i] }
 
-// Executor returns the underlying epoch-merge executor.
-func (sk *ShardedKernel) Executor() *sim.Sharded { return sk.ex }
+// Executor returns the underlying epoch-merge executor: node i is shard i's
+// engine, and source i is shard i's send context.
+func (sk *ShardedKernel) Executor() *sim.Executor { return sk.ex }
 
 // Machine returns the full (unsharded) machine description.
 func (sk *ShardedKernel) Machine() Machine { return sk.machine }
@@ -162,16 +188,16 @@ func (sk *ShardedKernel) SetParallel(on bool) { sk.ex.SetParallel(on) }
 // context: the cross-socket IPI of the sharded model. The wake lands one
 // lookahead later — the calibrated cross-node delivery latency — and drains
 // inside the target shard's IPI batch window, so a burst of remote wakes at
-// one instant flushes one kick per target CPU. Must be called from shard
-// `from`'s context (one of its event closures) or between runs.
+// one instant flushes one kick per target CPU. A task that exits before the
+// wake lands is not woken. Must be called from shard `from`'s context (one
+// of its event closures) or between runs.
 func (sk *ShardedKernel) RemoteWake(from, to int, t *Task) {
 	sk.crossWakes[from]++
-	k := sk.kernels[to]
-	// The closure must not touch t here: the sender runs concurrently with
-	// the owning shard, so the task is only dereferenced on delivery, inside
-	// shard `to`'s execution context.
-	sk.ex.Send(from, to, sk.ex.Shard(from).Now().Add(ktime.Duration(sk.ex.Lookahead())),
-		func() { k.Wake(t) })
+	// Only the PID crosses: it is fixed at spawn, while the rest of t
+	// belongs to shard `to`, which runs concurrently with the sender. The
+	// task is looked up on delivery, inside shard `to`'s context.
+	sk.ex.Send(from, to, sk.kernels[from].Now().Add(sk.ex.Lookahead()),
+		sim.Msg{Kind: kindRemoteWake, A: int32(t.pid)})
 }
 
 // CrossWakes returns how many remote wakes have been submitted. Read it
@@ -194,22 +220,30 @@ func (sk *ShardedKernel) RunFor(d time.Duration) {
 
 // RunUntil advances the whole sharded simulation to absolute virtual time t;
 // every shard clock finishes at exactly t. With Now and NextEventTime it
-// makes a ShardedKernel a sim.FleetNode: one machine of a simulated cluster.
+// makes a ShardedKernel a sim.Node: one machine of a simulated cluster.
 func (sk *ShardedKernel) RunUntil(t ktime.Time) { sk.ex.RunUntil(t) }
 
 // NextEventTime returns the earliest pending work anywhere in the machine —
 // shard events or in-flight cross-shard messages. Call it between runs.
 func (sk *ShardedKernel) NextEventTime() (ktime.Time, bool) { return sk.ex.NextEventTime() }
 
-// SetInjectHandler registers the function injected records are delivered
-// to, inside the target shard's context (see sim.Sharded.SetInjectHandler).
-func (sk *ShardedKernel) SetInjectHandler(h func(shard int, m sim.Msg)) { sk.ex.SetInjectHandler(h) }
+// SetInjectHandler registers the function every record committed for a
+// shard is delivered to — injected ones and those sent through Executor() —
+// except the kernel's own remote wakes. h runs inside the target shard's
+// context at the record's instant, within the group's IPI batch window.
+// Register it once, before the first Inject.
+func (sk *ShardedKernel) SetInjectHandler(h func(shard int, m sim.Msg)) { sk.handler = h }
 
 // Inject commits record m for delivery on shard `to` of this machine at
 // absolute virtual time at, from a fleet-level coordinator between machine
-// epochs (see sim.Sharded.Inject). This is how cluster-level commands — job
+// epochs (see sim.Executor.Inject). This is how cluster-level commands — job
 // starts, stops, control messages — enter a machine deterministically.
-func (sk *ShardedKernel) Inject(to int, at ktime.Time, m sim.Msg) { sk.ex.Inject(to, at, m) }
+func (sk *ShardedKernel) Inject(to int, at ktime.Time, m sim.Msg) {
+	if sk.handler == nil {
+		panic("kernel: Inject before SetInjectHandler")
+	}
+	sk.ex.Inject(to, at, m)
+}
 
 // RunUntilIdle runs until every shard's event queue drains and no message is
 // in flight.
@@ -256,4 +290,10 @@ func (sk *ShardedKernel) IPIsSent() uint64 {
 }
 
 // EventsFired sums engine events fired across shards.
-func (sk *ShardedKernel) EventsFired() uint64 { return sk.ex.EventsFired() }
+func (sk *ShardedKernel) EventsFired() uint64 {
+	var n uint64
+	for _, k := range sk.kernels {
+		n += k.eng.Fired()
+	}
+	return n
+}

@@ -9,6 +9,7 @@ import (
 	"enoki/internal/enokic"
 	"enoki/internal/kernel"
 	"enoki/internal/record"
+	"enoki/internal/sim"
 	"enoki/internal/vpol"
 )
 
@@ -51,15 +52,35 @@ func NewShardedRig(c Case, m kernel.Machine, cfg enokic.Config) *ShardedRig {
 	return r
 }
 
+// pinger is one cross-traffic task. pending banks credits that arrived
+// while the task was not blocked; it is owned by the pinger's shard: the
+// credit delivery and the block-time recheck both execute in that shard's
+// context.
+type pinger struct {
+	t       *kernel.Task
+	pending int
+}
+
+// credit is the delivery of one cross-shard credit: wake the pinger if it
+// is blocked, bank the credit otherwise.
+func (p *pinger) credit(k *kernel.Kernel) {
+	if p.t.State() == kernel.StateBlocked {
+		k.Wake(p.t)
+	} else {
+		p.pending++
+	}
+}
+
 // CrossTraffic wires deterministic cross-shard wake traffic into r: pingers
 // per shard that block each cycle and are driven by the neighbouring shard
 // through the executor's message protocol (the cross-socket IPI path). Each
-// pinger receives exactly `cycles` cross-shard credits; a credit arriving
-// while the pinger is blocked wakes it, and one arriving mid-cycle is banked
-// and consumed by the block-time recheck (the futex-style "a wake raced the
-// block" path), so no credit is ever wasted regardless of how slowly the
-// class cycles the task. The returned function reports how many pingers have
-// exited.
+// credit is a record naming its pinger, delivered through the rig's inject
+// handler. Each pinger receives exactly `cycles` cross-shard credits; a
+// credit arriving while the pinger is blocked wakes it, and one arriving
+// mid-cycle is banked and consumed by the block-time recheck (the
+// futex-style "a wake raced the block" path), so no credit is ever wasted
+// regardless of how slowly the class cycles the task. The returned function
+// reports how many pingers have exited.
 func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Duration) func() int {
 	sk := r.SK
 	n := sk.NumShards()
@@ -67,26 +88,28 @@ func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Durat
 	// Exit observers fire on the owning shard's goroutine in parallel runs,
 	// so completion counts are per-shard and only summed between runs.
 	completed := make([]int, n)
+	pingers := make([][]pinger, n)
+	sk.SetInjectHandler(func(shard int, m sim.Msg) {
+		pingers[shard][m.A].credit(sk.ShardKernel(shard))
+	})
 	for i := 0; i < n; i++ {
 		i := i
 		sub := r.Shards[i]
 		k := sub.K
 		waker := (i + 1) % n
 		wakerEng := sk.ShardKernel(waker).Engine()
+		pingers[i] = make([]pinger, pingersPerShard)
 		for p := 0; p < pingersPerShard; p++ {
-			// pending banks credits that arrived while the task was not
-			// blocked. It is owned by shard i: the delivery closure and the
-			// recheck both execute in shard i's context.
-			pending := 0
+			pg := &pingers[i][p]
 			cycle := 0
 			recheck := func() bool {
-				if pending > 0 {
-					pending--
+				if pg.pending > 0 {
+					pg.pending--
 					return true
 				}
 				return false
 			}
-			t := k.Spawn(fmt.Sprintf("ping%d.%d", i, p), sub.Policy,
+			pg.t = k.Spawn(fmt.Sprintf("ping%d.%d", i, p), sub.Policy,
 				kernel.BehaviorFunc(func(*kernel.Kernel, *kernel.Task) kernel.Action {
 					cycle++
 					if cycle > cycles {
@@ -95,19 +118,13 @@ func (r *ShardedRig) CrossTraffic(pingersPerShard, cycles int, period time.Durat
 					return kernel.Action{Run: 40 * time.Microsecond, Op: kernel.OpBlock, Recheck: recheck}
 				}),
 				kernel.WithExitObserver(func() { completed[i]++ }))
-			deliver := func() {
-				if t.State() == kernel.StateBlocked {
-					k.Wake(t)
-				} else {
-					pending++
-				}
-			}
 			// The waker chain runs on the neighbour shard, submitting one
 			// credit per period through the epoch-merge protocol.
+			credit := sim.Msg{A: int32(p)}
 			left := cycles
 			var fire func()
 			fire = func() {
-				sk.Executor().Send(waker, i, wakerEng.Now().Add(la), deliver)
+				sk.Executor().Send(waker, i, wakerEng.Now().Add(la), credit)
 				if left--; left > 0 {
 					wakerEng.Post(period, fire)
 				}

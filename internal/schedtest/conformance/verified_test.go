@@ -75,6 +75,11 @@ func TestVerifiedShardedIdentity(t *testing.T) {
 	if len(serial.Violations) != 0 || len(parallel.Violations) != 0 {
 		t.Fatalf("violations: serial=%v parallel=%v", serial.Violations, parallel.Violations)
 	}
+	// Pinned like goldenShardedDigest: the outcome of the executor this
+	// test was first written against.
+	if got, want := shardedDigest(serial), uint64(0x39952d13d5316457); got != want {
+		t.Errorf("run digest %#016x, golden %#016x: the sharded outcome changed", got, want)
+	}
 	if serial.WorkloadDone != serial.WorkloadTasks {
 		t.Fatalf("serial: %d/%d tasks completed", serial.WorkloadDone, serial.WorkloadTasks)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"enoki/internal/ktime"
 )
@@ -80,60 +79,5 @@ func TestSmsgSeqResetWouldBreakTotality(t *testing.T) {
 	b.seq = 2
 	if !a.less(b) || b.less(a) {
 		t.Fatal("monotonic seq must order same-(at,to,from) messages")
-	}
-}
-
-// TestShardedSeqMonotonicAcrossEpochs pins the no-reset property on the real
-// executor: two messages submitted from the same shard in different epochs
-// (and different RunUntil calls), due at the same instant at the same
-// destination, must deliver in submission order — which holds only if the
-// sender's seq counter survives epoch merges and run boundaries.
-func TestShardedSeqMonotonicAcrossEpochs(t *testing.T) {
-	la := 5 * time.Microsecond
-	s := NewSharded(2, la)
-	defer s.Close()
-	var log []string
-	target := ktime.Time(0).Add(ktime.Duration(100 * time.Microsecond))
-	// Epoch 1 (first run window): shard 1 sends "first" due at 100µs.
-	s.Shard(1).Post(2*time.Microsecond, func() {
-		s.Send(1, 0, target, func() { log = append(log, "first") })
-	})
-	s.RunUntil(ktime.Time(0).Add(ktime.Duration(20 * time.Microsecond)))
-	// Later epoch, separate run: shard 1 sends "second", same (at, to, from).
-	s.Shard(1).Post(20*time.Microsecond, func() {
-		s.Send(1, 0, target, func() { log = append(log, "second") })
-	})
-	s.RunUntilIdle()
-	if fmt.Sprint(log) != "[first second]" {
-		t.Fatalf("cross-epoch same-instant delivery order %v, want [first second]", log)
-	}
-	if s.MsgsSent() != 2 || s.MsgsDelivered() != 2 {
-		t.Fatalf("sent/delivered = %d/%d, want 2/2", s.MsgsSent(), s.MsgsDelivered())
-	}
-}
-
-// TestFleetSeqMonotonicAcrossRuns is the same pin one level up, on the
-// fleet executor's per-source counters.
-func TestFleetSeqMonotonicAcrossRuns(t *testing.T) {
-	f := NewFleet(10 * time.Microsecond)
-	defer f.Close()
-	e0, e1 := New(), New()
-	f.AddNode(e0)
-	f.AddNode(e1)
-	src := f.AddSource(0)
-	var log []string
-	names := []string{"first", "second"}
-	f.SetHandler(1, func(_ ktime.Time, m Msg) { log = append(log, names[m.A]) })
-	target := ktime.Time(0).Add(ktime.Duration(200 * time.Microsecond))
-	e0.Post(time.Microsecond, func() {
-		f.Send(src, 1, target, Msg{A: 0})
-	})
-	f.RunUntil(ktime.Time(0).Add(ktime.Duration(50 * time.Microsecond)))
-	e0.Post(10*time.Microsecond, func() { // fires at 60µs, a later fleet run
-		f.Send(src, 1, target, Msg{A: 1})
-	})
-	f.RunUntilIdle()
-	if fmt.Sprint(log) != "[first second]" {
-		t.Fatalf("cross-run same-instant commitment order %v, want [first second]", log)
 	}
 }

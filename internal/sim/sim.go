@@ -7,13 +7,13 @@
 //
 // The engine is deliberately tiny: the kernel package layers CPUs, run
 // queues, and timers on top of it. Events are plain closures. Messages
-// between executors mostly are not: a fleet send (Fleet.Send, SendHandoff)
-// or a shard injection (Sharded.Inject) carries a typed Msg record — a kind
-// plus three int32 words — delivered to a handler its destination registers
-// once (Fleet.SetHandler, Sharded.SetInjectHandler), so the cluster message
-// path allocates nothing per message. Only shard-to-shard Sharded.Send
-// still carries a closure. An event can be cancelled by its handle; cancellation is O(1) (the event is tombstoned and
-// skipped when popped), which matters because the kernel cancels and re-arms
+// between simulations are not: every send through the epoch executor
+// (executor.go) carries a typed Msg record — a kind plus three int32 words —
+// committed to a handler its destination registers once
+// (Executor.SetHandler; an Inbox when the destination is an Engine), so the
+// message path allocates nothing per message. An event can be cancelled by
+// its handle; cancellation is O(1) (the event is tombstoned and skipped
+// when popped), which matters because the kernel cancels and re-arms
 // per-CPU completion events on every preemption. Arming is O(1) too: the
 // near wheel files the event straight into its time slot, and re-arming a
 // queued event just files a fresh slot entry and lets the stale one be
@@ -93,8 +93,8 @@ const compactSlack = 128
 
 // Engine is a deterministic discrete-event executor. It is not safe for
 // concurrent use; all simulation state mutates from event closures running on
-// the caller's goroutine. For multi-goroutine simulations, see Sharded,
-// which runs one Engine per shard and merges at epoch boundaries.
+// the caller's goroutine. For multi-goroutine simulations, see Executor,
+// which runs one Engine per node and merges at epoch boundaries.
 type Engine struct {
 	now     ktime.Time
 	seq     uint64

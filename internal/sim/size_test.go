@@ -10,10 +10,10 @@ import (
 // here shows up directly in the benchmark's bytes_per_unit on edge-flash,
 // whose million connections each cost several events and messages. A
 // payload belongs in the slack smsg already has (int32 endpoints, record
-// words beside the closure), not in a wider slot.
+// words and two flag bytes in 40), not in a wider slot.
 func TestMessageRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(smsg{}); got != 48 {
-		t.Errorf("smsg is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(smsg{}); got != 40 {
+		t.Errorf("smsg is %d bytes, want 40", got)
 	}
 	if got := unsafe.Sizeof(Event{}); got != 40 {
 		t.Errorf("Event is %d bytes, want 40", got)

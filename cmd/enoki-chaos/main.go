@@ -4,17 +4,22 @@
 //
 // Usage:
 //
-//	enoki-chaos [-runs N] [-seed S] [-class NAME] [-norollback] [-v]
-//	enoki-chaos -replay SPEC [-norollback]
+//	enoki-chaos [-runs N] [-seed S] [-class NAME] [-maxfailures N] [-norollback] [-verified] [-v]
+//	enoki-chaos -replay SPEC [-norollback] [-verified] [-leakshed]
 //
-// A campaign round-robins seeded fault schedules over the target classes
-// (all of them by default) and judges every run with the invariant oracle.
-// Each failure is shrunk to a minimal fault schedule and printed with the
-// exact command that replays it:
+// A campaign round-robins seeded single-machine (`v1:`) fault schedules
+// over the target classes (all of them by default) and judges every run
+// with the invariant oracle. Each failure is shrunk to a minimal fault
+// schedule and printed with the exact command that replays it:
 //
 //	enoki-chaos -replay v1:shinjuku:37467eec32c27644:2
 //
-// Because the simulator is single-threaded over virtual time and every fault
+// -replay accepts a spec from any of the four planes: `v1:` one machine,
+// `f1:` fleet machine kills, `r1:` fleet rollouts, `t1:` traffic under
+// overload control. -norollback and -verified shape `v1:` runs; -leakshed
+// plants the `t1:` plane's seeded bug.
+//
+// Because the simulator is deterministic over virtual time and every fault
 // trigger is a seeded draw, a call count, or a virtual timestamp, the spec
 // string is the entire reproducer — no transcript, no flake.
 package main
@@ -32,68 +37,37 @@ func main() {
 	runs := flag.Int("runs", 100, "number of seeded campaign runs")
 	seed := flag.Uint64("seed", 1, "campaign master seed")
 	class := flag.String("class", "", "restrict to one scheduler class (default: all, round-robin)")
-	replay := flag.String("replay", "", "replay one failing spec (v1:/t1:<class>:<seed>:<mask>) instead of a campaign")
-	noRollback := flag.Bool("norollback", false, "disable transactional upgrade rollback (the seeded-bug configuration)")
-	leakShed := flag.Bool("leakshed", false, "plant the shed-accounting leak (the traffic plane's seeded-bug configuration)")
-	verified := flag.Bool("verified", false, "mount the verified-bytecode tier above each class under test")
+	replay := flag.String("replay", "", "replay one spec (v1:, f1:, r1: or t1:<class>:<seed>:<mask>) instead of a campaign")
+	noRollback := flag.Bool("norollback", false, "disable transactional upgrade rollback (the v1: plane's seeded-bug configuration)")
+	leakShed := flag.Bool("leakshed", false, "plant the shed-accounting leak (the t1: plane's seeded-bug configuration)")
+	verified := flag.Bool("verified", false, "mount the verified-bytecode tier above each class under test (v1:)")
 	maxFailures := flag.Int("maxfailures", 3, "stop the campaign after minimizing this many failures")
 	verbose := flag.Bool("v", false, "print one line per campaign run")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: enoki-chaos [-runs N] [-seed S] [-class NAME] [-norollback] [-verified] [-v]\n"+
-			"       enoki-chaos -replay SPEC [-norollback] [-verified]\n\nclasses: %s\n",
+		fmt.Fprintf(os.Stderr, "usage: enoki-chaos [-runs N] [-seed S] [-class NAME] [-maxfailures N] [-norollback] [-verified] [-v]\n"+
+			"       enoki-chaos -replay SPEC [-norollback] [-verified] [-leakshed]\n\n"+
+			"SPEC is v1:, f1:, r1: or t1:<class>:<seed hex>:<mask hex>\nclasses: %s\n\n",
 			strings.Join(chaos.ClassNames(), " "))
+		flag.PrintDefaults()
 	}
 	flag.Parse()
 
 	rc := chaos.RunConfig{NoRollback: *noRollback, VerifiedTier: *verified}
 
-	if strings.HasPrefix(*replay, "t1:") {
-		s, err := chaos.ParseTrafficSpec(*replay)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "enoki-chaos: %v\n", err)
-			os.Exit(2)
-		}
-		res := chaos.RunTraffic(s, chaos.TrafficRunConfig{LeakShed: *leakShed})
-		fmt.Printf("replay %s  class=%s  events=%v\n", s.Spec(), s.Class, s.Enabled())
-		n := res.Report.Total
-		fmt.Printf("  conns=%d offered=%d admitted=%d shed=%d retried=%d dropped=%d killed=%v\n",
-			res.Report.Connections, n.Offered, n.Admitted, n.Shed, n.Retried, n.Dropped, res.Killed)
-		if !res.Failed() {
-			fmt.Println("  oracle: PASS")
-			return
-		}
-		fmt.Println("  oracle: FAIL")
-		for _, v := range res.Violations {
-			fmt.Printf("    violation: %s\n", v)
-		}
-		os.Exit(1)
-	}
-
 	if *replay != "" {
-		s, err := chaos.ParseSpec(*replay)
+		res, err := chaos.Replay(*replay, rc, chaos.TrafficRunConfig{LeakShed: *leakShed})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "enoki-chaos: %v\n", err)
 			os.Exit(2)
 		}
-		res := chaos.Run(s, rc)
-		fmt.Printf("replay %s  class=%s  events=%v\n", s.Spec(), s.Class, s.Enabled())
-		fmt.Printf("  completed %d/%d tasks, killed=%v, upgrades=%d\n",
-			res.Completed, res.Tasks, res.Killed, len(res.Upgrades))
-		if res.Failure != nil {
-			fmt.Printf("  module failure: %s at %v\n", res.Failure.Fault, res.Failure.At)
+		fmt.Println(strings.Join(res.Report, "\n"))
+		if res.Failed() {
+			os.Exit(1)
 		}
-		if !res.Failed() {
-			fmt.Println("  oracle: PASS")
-			return
-		}
-		fmt.Println("  oracle: FAIL")
-		for _, v := range res.Violations {
-			fmt.Printf("    violation: %s\n", v)
-		}
-		os.Exit(1)
+		return
 	}
 
-	cfg := chaos.CampaignConfig{
+	cfg := chaos.CampaignConfig[chaos.RunConfig]{
 		Runs:        *runs,
 		Seed:        *seed,
 		MaxFailures: *maxFailures,
@@ -105,7 +79,7 @@ func main() {
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Println(line) }
 	}
-	res := chaos.Campaign(cfg)
+	res := chaos.Campaign(chaos.V1, cfg)
 	fmt.Printf("campaign: %d runs, %d failures (seed %#x)\n", res.Runs, len(res.Failures), *seed)
 	for _, f := range res.Failures {
 		fmt.Printf("\nFAIL %s\n", f.Result.Schedule.Spec())

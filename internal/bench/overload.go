@@ -179,7 +179,7 @@ func overloadDrive(m kernel.Machine, sc traffic.Scenario, parallel bool) (traffi
 // planted, shrink, pass clean.
 func overloadReplayVerdict() OverloadReplay {
 	rep := OverloadReplay{Spec: overloadReplaySpec}
-	s, err := chaos.ParseTrafficSpec(overloadReplaySpec)
+	s, err := chaos.T1.Parse(overloadReplaySpec)
 	if err != nil {
 		rep.Violation = fmt.Sprintf("pinned spec does not parse: %v", err)
 		return rep
@@ -196,7 +196,7 @@ func overloadReplayVerdict() OverloadReplay {
 	if !rep.Caught {
 		return rep
 	}
-	min, _ := chaos.MinimizeTraffic(s, rc)
+	min, _ := chaos.Minimize(s, rc, chaos.RunTraffic)
 	rep.Minimized = min.Spec()
 	rep.EventsBefore = s.EnabledCount()
 	rep.EventsAfter = min.EnabledCount()

@@ -10,9 +10,10 @@
 // single-threaded over virtual time and every fault trigger is a seeded
 // draw, a call count, or a virtual timestamp, a failing seed is not a flaky
 // artifact but a permanent, bit-for-bit reproducible program input. The
-// campaign explores; the spec string (`v1:<class>:<seed>:<mask>`) replays;
-// the minimizer (ddmin over the event mask) keeps only the fault events the
-// failure actually needs.
+// campaign explores; the spec string (`<prefix>:<class>:<seed>:<mask>`,
+// prefix v1, f1, r1 or t1 naming the plane) replays; the minimizer (ddmin
+// over the event mask) keeps only the fault events the failure actually
+// needs. One harness (spec.go, minimize.go) serves all four planes.
 package chaos
 
 import (
@@ -180,69 +181,6 @@ func (e Event) String() string {
 	}
 }
 
-// Schedule is one run's fault plan: a class, the seed every draw in the run
-// derives from, the generated events, and an enable mask the minimizer
-// clears bits in. Generate caps events at 64 so the mask fits a uint64 and
-// the whole failing run round-trips through the spec string.
-type Schedule struct {
-	Seed   uint64
-	Class  string
-	Events []Event
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s Schedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// EnabledCount counts surviving events.
-func (s Schedule) EnabledCount() int {
-	n := 0
-	for i := range s.Events {
-		if s.EnabledAt(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// Enabled returns the surviving events, for reporting.
-func (s Schedule) Enabled() []Event {
-	out := make([]Event, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Spec renders the schedule as its replay string. Because Generate is a pure
-// function of (seed, class), seed + mask reconstructs the exact fault plan:
-// the spec is the whole reproducer.
-func (s Schedule) Spec() string {
-	return fmt.Sprintf("v1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseSpec reconstructs a schedule from a replay spec (v1:<class>:<seed
-// hex>:<mask hex>), regenerating the events from the seed and applying the
-// mask.
-func ParseSpec(spec string) (Schedule, error) {
-	class, seed, mask, err := splitSpec(spec, "v1", "v1:<class>:<seed>:<mask>")
-	if err != nil {
-		return Schedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return Schedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := Generate(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return Schedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
 // panicSites are the trait calls PlanePanic may land in: every dispatch
 // kind a normal workload exercises, so a campaign eventually panics each
 // callback site the adapter crosses.
@@ -261,11 +199,10 @@ var panicSites = []core.Kind{
 	core.MsgTaskAffinityChanged,
 }
 
-// Generate derives a fault schedule from a seed for one scheduler class —
-// a pure function, so the seed alone reproduces the plan. Classes without a
-// module (the CFS baseline) draw only kernel planes; classes without hint
-// support skip storms.
-func Generate(seed uint64, class string) Schedule {
+// machineEvents draws the v1: plane's events for one scheduler class. Classes
+// without a module (the CFS baseline) draw only kernel planes; classes
+// without hint support skip storms.
+func machineEvents(seed uint64, class string) []Event {
 	rng := ktime.NewRand(seed)
 	c, _ := caseByName(class)
 	pool := []Plane{PlaneIPIDrop, PlaneIPIDelay, PlaneIPIDup, PlaneTimerSkew}
@@ -280,7 +217,7 @@ func Generate(seed uint64, class string) Schedule {
 	for j := 0; j < n; j++ {
 		evs = append(evs, eventFor(pool[rng.Intn(len(pool))], rng))
 	}
-	return Schedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
+	return evs
 }
 
 // eventFor draws one event's parameters. All times are virtual ns well

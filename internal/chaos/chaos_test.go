@@ -13,10 +13,10 @@ import (
 // reconstruct a fault plan months later.
 func TestGenerateDeterministic(t *testing.T) {
 	for _, class := range ClassNames() {
-		a := Generate(42, class)
-		b := Generate(42, class)
+		a := V1.Generate(42, class)
+		b := V1.Generate(42, class)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: Generate(42) differs across calls:\n%+v\n%+v", class, a, b)
+			t.Fatalf("%s: V1.Generate(42) differs across calls:\n%+v\n%+v", class, a, b)
 		}
 		if n := len(a.Events); n < 2 || n > 5 {
 			t.Errorf("%s: generated %d events, want 2..5", class, n)
@@ -32,14 +32,14 @@ func TestGenerateDeterministic(t *testing.T) {
 // never be drawn for them.
 func TestGenerateRespectsClassCapabilities(t *testing.T) {
 	for seed := uint64(0); seed < 200; seed++ {
-		for _, ev := range Generate(seed, "cfs").Events {
+		for _, ev := range V1.Generate(seed, "cfs").Events {
 			switch ev.Plane {
 			case PlaneIPIDrop, PlaneIPIDelay, PlaneIPIDup, PlaneTimerSkew:
 			default:
 				t.Fatalf("seed %d: module plane %v generated for moduleless cfs", seed, ev.Plane)
 			}
 		}
-		for _, ev := range Generate(seed, "wfq").Events {
+		for _, ev := range V1.Generate(seed, "wfq").Events {
 			if ev.Plane == PlaneHintStorm {
 				t.Fatalf("seed %d: hint storm generated for hintless wfq", seed)
 			}
@@ -47,16 +47,16 @@ func TestGenerateRespectsClassCapabilities(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTrip: Spec → ParseSpec reconstructs the schedule exactly,
+// TestSpecRoundTrip: Spec → Parse reconstructs the schedule exactly,
 // including a minimizer-narrowed mask, and malformed specs are rejected.
 func TestSpecRoundTrip(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		for _, class := range []string{"cfs", "wfq", "shinjuku", "arbiter"} {
-			s := Generate(seed, class)
+			s := V1.Generate(seed, class)
 			s.Mask &= 0b101 // a partial mask, as the minimizer would leave
-			got, err := ParseSpec(s.Spec())
+			got, err := V1.Parse(s.Spec())
 			if err != nil {
-				t.Fatalf("ParseSpec(%q): %v", s.Spec(), err)
+				t.Fatalf("V1.Parse(%q): %v", s.Spec(), err)
 			}
 			if !reflect.DeepEqual(got, s) {
 				t.Fatalf("round trip of %q:\n got %+v\nwant %+v", s.Spec(), got, s)
@@ -67,8 +67,8 @@ func TestSpecRoundTrip(t *testing.T) {
 		"", "v1", "v1:wfq:1", "v1:wfq:1:1:1", "v2:wfq:1:1",
 		"v1:nosuchclass:1:1", "v1:wfq:xyz:1", "v1:wfq:1:xyz",
 	} {
-		if _, err := ParseSpec(bad); err == nil {
-			t.Errorf("ParseSpec(%q) accepted a malformed spec", bad)
+		if _, err := V1.Parse(bad); err == nil {
+			t.Errorf("V1.Parse(%q) accepted a malformed spec", bad)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestSpecRoundTrip(t *testing.T) {
 // TestRunDeterministic: one schedule, two runs, identical Results down to the
 // record-log bytes — the engine's reproducibility claim, mechanically checked.
 func TestRunDeterministic(t *testing.T) {
-	s := Generate(7, "wfq")
+	s := V1.Generate(7, "wfq")
 	a := Run(s, RunConfig{})
 	b := Run(s, RunConfig{})
 	if a.Completed != b.Completed || a.Killed != b.Killed {
@@ -103,7 +103,7 @@ func TestCampaignAllClassesClean(t *testing.T) {
 	if testing.Short() {
 		runs = 77
 	}
-	res := Campaign(CampaignConfig{Runs: runs, Seed: 0xe120c1})
+	res := Campaign(V1, CampaignConfig[RunConfig]{Runs: runs, Seed: 0xe120c1})
 	if res.Runs != runs {
 		t.Errorf("campaign stopped early: %d of %d runs", res.Runs, runs)
 	}
@@ -117,11 +117,11 @@ func TestCampaignAllClassesClean(t *testing.T) {
 // deliberately seeded bug — transactional rollback disabled, so a faulty
 // upgrade kills the module — and requires the engine to (1) catch it, (2)
 // shrink the failing schedule to ≤5 events, (3) hand back a spec that still
-// reproduces under ParseSpec, and (4) show the shipped rollback configuration
+// reproduces under V1.Parse, and (4) show the shipped rollback configuration
 // passes the very same schedule.
 func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 	buggy := RunConfig{NoRollback: true}
-	res := Campaign(CampaignConfig{Runs: 60, Seed: 0xbadcafe, MaxFailures: 1, Run: buggy})
+	res := Campaign(V1, CampaignConfig[RunConfig]{Runs: 60, Seed: 0xbadcafe, MaxFailures: 1, Run: buggy})
 	if len(res.Failures) == 0 {
 		t.Fatalf("campaign (%d runs) never caught the seeded rollback bug", res.Runs)
 	}
@@ -143,7 +143,7 @@ func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 	}
 
 	// The one-liner is the whole reproducer: parse it back and re-run.
-	replayed, err := ParseSpec(f.Minimized.Spec())
+	replayed, err := V1.Parse(f.Minimized.Spec())
 	if err != nil {
 		t.Fatalf("minimized spec does not parse: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestSeededRollbackBugCaughtAndMinimized(t *testing.T) {
 // ring. Eight pushes land, the rest must surface as counted drops — and the
 // oracle must accept the run, because shedding is not a correctness breach.
 func TestHintStormDropsAccounted(t *testing.T) {
-	s := Schedule{
+	s := Schedule[Event]{
 		Seed:  99,
 		Class: "arbiter",
 		Events: []Event{
@@ -193,7 +193,7 @@ func TestHintStormDropsAccounted(t *testing.T) {
 // module drains each notification synchronously, so the same storm sheds
 // nothing and every push is counted delivered.
 func TestHintStormHealthyModuleDeliversAll(t *testing.T) {
-	s := Schedule{
+	s := Schedule[Event]{
 		Seed:  99,
 		Class: "arbiter",
 		Events: []Event{
@@ -219,8 +219,8 @@ func TestHintStormHealthyModuleDeliversAll(t *testing.T) {
 // TestMinimizeIsGreedyStable: minimizing an already-minimal failing schedule
 // returns it unchanged, and minimizing a passing schedule is the identity.
 func TestMinimizeIsGreedyStable(t *testing.T) {
-	pass := Generate(3, "fifo")
-	min, res := Minimize(pass, RunConfig{})
+	pass := V1.Generate(3, "fifo")
+	min, res := Minimize(pass, RunConfig{}, Run)
 	if res.Failed() {
 		t.Fatalf("seed 3 fifo unexpectedly fails: %v", res.Violations)
 	}

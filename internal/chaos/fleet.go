@@ -1,6 +1,6 @@
 // Fleet chaos: the machine-kill plane. Where the single-kernel campaigns
 // sabotage one machine from the inside (module panics, IPI loss, timer
-// skew), the fleet campaign sabotages the cluster from the outside: whole
+// skew), the fleet plane sabotages the cluster from the outside: whole
 // machines fail-stop mid-run and the control plane must detect each death,
 // requeue the lost placements, and finish every job on the survivors. The
 // same discipline applies as everywhere else in this package — every kill
@@ -25,14 +25,14 @@ import (
 	"enoki/internal/schedtest/conformance"
 )
 
-// Fleet campaign shape: small enough to replay in a test, big enough that
+// Fleet run shape: small enough to replay in a test, big enough that
 // kills land while jobs are in flight and the survivors still have the
 // capacity to finish everything.
 const (
 	fleetMachines = 10
 	fleetJobs     = 60
 	fleetBudget   = 60 * time.Millisecond
-	// Fixed in the campaign's cluster config (not left to defaults) because
+	// Fixed in the cluster config (not left to defaults) because
 	// the oracle reasons about them: a done report sent just before a kill
 	// is still in flight for fleetNetLatency, and the control plane keeps
 	// accepting reports for a dead machine until detection fires.
@@ -57,63 +57,11 @@ func (e FleetEvent) String() string {
 	return fmt.Sprintf("%v[m%d@%v]", PlaneMachineKill, e.Machine, time.Duration(e.At))
 }
 
-// FleetSchedule is one fleet run's fault plan, the cluster-level analogue of
-// Schedule: a class, the seed every draw derives from, the generated kill
-// events, and the enable mask a minimizer clears bits in.
-type FleetSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []FleetEvent
-	Mask   uint64
-}
-
-// EnabledAt reports whether kill i survives the mask.
-func (s FleetSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// Enabled returns the surviving kills, for reporting.
-func (s FleetSchedule) Enabled() []FleetEvent {
-	out := make([]FleetEvent, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Spec renders the schedule as its replay string. GenerateFleet is a pure
-// function of (seed, class), so seed + mask reconstructs the exact kill
-// plan: the spec is the whole reproducer.
-func (s FleetSchedule) Spec() string {
-	return fmt.Sprintf("f1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseFleetSpec reconstructs a fleet schedule from a replay spec
-// (f1:<class>:<seed hex>:<mask hex>), regenerating the kills from the seed
-// and applying the mask.
-func ParseFleetSpec(spec string) (FleetSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "f1", "f1:<class>:<seed>:<mask>")
-	if err != nil {
-		return FleetSchedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return FleetSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := GenerateFleet(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return FleetSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
-// GenerateFleet derives a kill schedule from a seed for one scheduler class
-// — a pure function, so the seed alone reproduces the plan. It draws one to
-// three distinct victims (never a majority, so the survivors always have
-// the capacity to finish the workload) with kill times early enough that
-// placements are still in flight.
-func GenerateFleet(seed uint64, class string) FleetSchedule {
+// fleetEvents draws the f1: plane's kills: one to three distinct victims
+// (never a majority, so the survivors always have the capacity to finish
+// the workload) with kill times early enough that placements are still in
+// flight.
+func fleetEvents(seed uint64, _ string) []FleetEvent {
 	rng := ktime.NewRand(seed ^ killSalt)
 	n := 1 + rng.Intn(3)
 	used := make(map[int]bool, n)
@@ -129,15 +77,15 @@ func GenerateFleet(seed uint64, class string) FleetSchedule {
 			At:      (int64(1) + int64(rng.Intn(4))) * int64(time.Millisecond),
 		})
 	}
-	return FleetSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
+	return evs
 }
 
-// FleetOutcome is one fleet campaign's observable result plus the oracle's
+// FleetOutcome is one fleet run's observable result plus the oracle's
 // verdict. Logs holds the raw per-(machine, shard) record bytes; a serial
 // and a parallel drive of the same spec must match field for field, Logs
 // byte for byte.
 type FleetOutcome struct {
-	Schedule FleetSchedule
+	Schedule Schedule[FleetEvent]
 	Stats    cluster.Stats
 	Jobs     []cluster.Job
 	Logs     [][][]byte
@@ -147,27 +95,35 @@ type FleetOutcome struct {
 }
 
 // Failed reports whether the oracle found any invariant breach.
-func (r *FleetOutcome) Failed() bool { return len(r.Violations) > 0 }
+func (r FleetOutcome) Failed() bool { return len(r.Violations) > 0 }
 
-// FleetCampaign runs one kill schedule against a ten-machine cluster of the
-// schedule's class and judges the outcome. Every machine loads the class's
-// module above CFS on each shard with a record channel; a seeded job mix is
-// submitted up front; each enabled kill fail-stops its machine mid-run.
-// Deterministic end to end: same schedule + same parallel flag → same
-// FleetOutcome, and the serial/parallel pair must agree byte for byte.
-func FleetCampaign(s FleetSchedule, parallel bool) FleetOutcome {
-	c, ok := caseByName(s.Class)
-	if !ok {
-		return FleetOutcome{Schedule: s, Violations: []string{fmt.Sprintf("unknown class %q", s.Class)}}
+func (r FleetOutcome) report() (summary, violations []string) {
+	return []string{fmt.Sprintf("jobs %d/%d done, %d placements lost, %d/%d machines alive",
+		r.Stats.Done, r.Stats.Submitted, r.Stats.Lost, r.Stats.MachinesAlive, fleetMachines)}, r.Violations
+}
+
+// recordedCluster is the ten-machine cluster the f1: and r1: planes both
+// drive, with a record channel on every module.
+type recordedCluster struct {
+	*cluster.Cluster
+	bufs [][]*bytes.Buffer
+	recs [][]*record.Recorder
+}
+
+// newRecordedCluster builds the cluster for class c: every machine loads
+// c's module (when it has one) under modCfg above CFS on each shard, each
+// module recording, and a job mix drawn from seed is submitted up front.
+// detect is the control plane's failure-detection delay.
+func newRecordedCluster(c conformance.Case, seed uint64, parallel bool, detect time.Duration, modCfg enokic.Config) *recordedCluster {
+	rc := &recordedCluster{
+		bufs: make([][]*bytes.Buffer, fleetMachines),
+		recs: make([][]*record.Recorder, fleetMachines),
 	}
-
-	bufs := make([][]*bytes.Buffer, fleetMachines)
-	recs := make([][]*record.Recorder, fleetMachines)
 	policy := conformance.PolicyCFS
 	if c.NewModule != nil {
 		policy = conformance.PolicyTest
 	}
-	cl := cluster.New(cluster.Config{
+	rc.Cluster = cluster.New(cluster.Config{
 		Machines:        fleetMachines,
 		Machine:         kernel.Machine8(),
 		Parallel:        parallel,
@@ -175,64 +131,101 @@ func FleetCampaign(s FleetSchedule, parallel bool) FleetOutcome {
 		Placer:          &cluster.Pack{PerCPU: 2},
 		RebalanceSpread: 3,
 		NetLatency:      fleetNetLatency,
-		DetectDelay:     fleetDetectDelay,
-		Setup: func(mi int, sk *kernel.ShardedKernel) {
-			bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
-			recs[mi] = make([]*record.Recorder, sk.NumShards())
-			for sh := 0; sh < sk.NumShards(); sh++ {
+		DetectDelay:     detect,
+		SetupModules: func(mi int, sk *kernel.ShardedKernel) []*enokic.Adapter {
+			rc.bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
+			rc.recs[mi] = make([]*record.Recorder, sk.NumShards())
+			ads := make([]*enokic.Adapter, sk.NumShards())
+			for sh := range ads {
 				k := sk.ShardKernel(sh)
-				var ad *enokic.Adapter
 				if c.NewModule != nil {
-					ad = enokic.Load(k, conformance.PolicyTest, enokic.Config{},
+					ads[sh] = enokic.Load(k, conformance.PolicyTest, modCfg,
 						func(env core.Env) core.Scheduler { return c.NewModule(env, k.NumCPUs()) })
 				}
 				k.RegisterClass(conformance.PolicyCFS, kernel.NewCFS(k))
-				if ad != nil {
-					bufs[mi][sh] = &bytes.Buffer{}
-					recs[mi][sh] = record.New(k, bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
-					ad.SetRecorder(recs[mi][sh])
+				if ads[sh] != nil {
+					rc.bufs[mi][sh] = &bytes.Buffer{}
+					rc.recs[mi][sh] = record.New(k, rc.bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
+					ads[sh].SetRecorder(rc.recs[mi][sh])
 				}
 			}
+			return ads
 		},
 	})
-	defer cl.Close()
-
-	rng := ktime.NewRand(s.Seed ^ workloadSalt)
+	rng := ktime.NewRand(seed ^ workloadSalt)
 	for i := 0; i < fleetJobs; i++ {
-		cl.Submit(cluster.JobSpec{
+		rc.Submit(cluster.JobSpec{
 			Cycles: 2 + rng.Intn(5),
 			Run:    time.Duration(80+rng.Intn(250)) * time.Microsecond,
 			Sleep:  time.Duration(rng.Intn(2)) * 150 * time.Microsecond,
 		})
 	}
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			cl.FailMachine(ev.Machine, time.Duration(ev.At))
-		}
-	}
-	// A fixed virtual budget, not RunUntilIdle: the record drain tasks tick
-	// forever, so a recorded cluster never goes idle. The budget is part of
-	// the campaign definition — identical in both drives.
-	cl.Run(fleetBudget)
+	return rc
+}
 
-	res := FleetOutcome{Schedule: s, Stats: cl.Stats(), Logs: make([][][]byte, fleetMachines)}
-	for mi := 0; mi < fleetMachines; mi++ {
-		res.Logs[mi] = make([][]byte, len(bufs[mi]))
-		for sh := range bufs[mi] {
-			if recs[mi][sh] != nil {
-				recs[mi][sh].Close()
-				res.Logs[mi][sh] = bufs[mi][sh].Bytes()
+// finish closes the recorders after the run and collects the per-(machine,
+// shard) record bytes and every job.
+func (rc *recordedCluster) finish() (logs [][][]byte, jobs []cluster.Job) {
+	logs = make([][][]byte, fleetMachines)
+	for mi := range logs {
+		logs[mi] = make([][]byte, len(rc.bufs[mi]))
+		for sh, rec := range rc.recs[mi] {
+			if rec != nil {
+				rec.Close()
+				logs[mi][sh] = rc.bufs[mi][sh].Bytes()
 			}
 		}
 	}
-	for i := 0; i < cl.NumJobs(); i++ {
-		res.Jobs = append(res.Jobs, cl.Job(i))
+	for i := 0; i < rc.NumJobs(); i++ {
+		jobs = append(jobs, rc.Job(i))
 	}
-	res.Violations = fleetOracle(&res, cl)
+	return logs, jobs
+}
+
+// logViolations reports every record log the run left undecodable: the
+// logs must survive whatever the faults did to the fleet.
+func logViolations(logs [][][]byte) []string {
+	var v []string
+	for mi, perShard := range logs {
+		for sh, l := range perShard {
+			if l == nil {
+				continue
+			}
+			if _, err := record.Load(bytes.NewReader(l)); err != nil {
+				v = append(v, fmt.Sprintf("machine %d shard %d record log not decodable: %v", mi, sh, err))
+			}
+		}
+	}
+	return v
+}
+
+// RunFleet runs one kill schedule against the recorded ten-machine cluster
+// of the schedule's class and judges the outcome; each enabled kill
+// fail-stops its machine mid-run. Deterministic end to end: same schedule +
+// same parallel flag → same FleetOutcome, and the serial/parallel pair must
+// agree byte for byte.
+func RunFleet(s Schedule[FleetEvent], parallel bool) FleetOutcome {
+	c, ok := caseByName(s.Class)
+	if !ok {
+		return FleetOutcome{Schedule: s, Violations: []string{fmt.Sprintf("unknown class %q", s.Class)}}
+	}
+	cl := newRecordedCluster(c, s.Seed, parallel, fleetDetectDelay, enokic.Config{})
+	defer cl.Close()
+	for _, ev := range s.Enabled() {
+		cl.FailMachine(ev.Machine, time.Duration(ev.At))
+	}
+	// A fixed virtual budget, not RunUntilIdle: the record drain tasks tick
+	// forever, so a recorded cluster never goes idle. The budget is part of
+	// the plane's definition — identical in both drives.
+	cl.Run(fleetBudget)
+
+	res := FleetOutcome{Schedule: s, Stats: cl.Stats()}
+	res.Logs, res.Jobs = cl.finish()
+	res.Violations = fleetOracle(&res, cl.Cluster)
 	return res
 }
 
-// fleetOracle evaluates the campaign's invariants. As with the single-
+// fleetOracle evaluates the fleet run's invariants. As with the single-
 // machine oracle, every rule is a property any correct cluster must uphold
 // under any kill plan, so the verdict never needs to know what the kills
 // "should" have done.
@@ -276,18 +269,7 @@ func fleetOracle(r *FleetOutcome, cl *cluster.Cluster) []string {
 				ev.Machine, time.Duration(now), time.Duration(ev.At))
 		}
 	}
-	// The record logs survive whatever the kills did to the fleet.
-	for mi, perShard := range r.Logs {
-		for sh, l := range perShard {
-			if l == nil {
-				continue
-			}
-			if _, err := record.Load(bytes.NewReader(l)); err != nil {
-				add("machine %d shard %d record log not decodable: %v", mi, sh, err)
-			}
-		}
-	}
-	return v
+	return append(v, logViolations(r.Logs)...)
 }
 
 // killAtFor returns machine m's kill time, or a sentinel far past the

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // fleetSpec is the pinned machine-failure reproducer: the whole campaign —
 // two machine kills mid-run, the seeded job mix, the rescheduling that
 // follows — replays from this one line. The seed was chosen so the kills
-// land while placements are in flight (Lost > 0); if GenerateFleet's draw
+// land while placements are in flight (Lost > 0); if fleetEvents' draw
 // logic changes, re-pick a seed with the same property.
 const fleetSpec = "f1:wfq:5eed:3"
 
@@ -19,9 +20,9 @@ const fleetSpec = "f1:wfq:5eed:3"
 // serial and worker-goroutine fleet drives of the same spec agree on every
 // control-plane outcome and every record-log byte.
 func TestFleetCampaignReplayFromSpec(t *testing.T) {
-	s, err := ParseFleetSpec(fleetSpec)
+	s, err := F1.Parse(fleetSpec)
 	if err != nil {
-		t.Fatalf("ParseFleetSpec(%q): %v", fleetSpec, err)
+		t.Fatalf("F1.Parse(%q): %v", fleetSpec, err)
 	}
 	if got := s.Spec(); got != fleetSpec {
 		t.Fatalf("spec round-trip: %q -> %q", fleetSpec, got)
@@ -30,8 +31,8 @@ func TestFleetCampaignReplayFromSpec(t *testing.T) {
 		t.Fatalf("spec %q enables %d kills, want 2", fleetSpec, len(s.Enabled()))
 	}
 
-	serial := FleetCampaign(s, false)
-	par := FleetCampaign(s, true)
+	serial := RunFleet(s, false)
+	par := RunFleet(s, true)
 
 	for _, v := range serial.Violations {
 		t.Errorf("serial: %s", v)
@@ -77,14 +78,14 @@ func TestFleetCampaignReplayFromSpec(t *testing.T) {
 // kill removes exactly that fault from the replay, and the reduced campaign
 // still upholds every invariant.
 func TestFleetCampaignMaskSubset(t *testing.T) {
-	s, err := ParseFleetSpec("f1:wfq:5eed:1")
+	s, err := F1.Parse("f1:wfq:5eed:1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Enabled()) != 1 {
 		t.Fatalf("mask 1 enables %d kills, want 1", len(s.Enabled()))
 	}
-	r := FleetCampaign(s, false)
+	r := RunFleet(s, false)
 	for _, v := range r.Violations {
 		t.Errorf("masked campaign: %s", v)
 	}
@@ -93,18 +94,22 @@ func TestFleetCampaignMaskSubset(t *testing.T) {
 	}
 }
 
-// TestFleetSpecErrors pins the parser's rejection of malformed specs.
+// TestFleetSpecErrors pins the parser's rejection of malformed specs:
+// every rejection is a *SpecError naming the offending field.
 func TestFleetSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"v1:wfq:5eed:3",     // single-machine prefix on a fleet parser
-		"f1:nosuch:5eed:3",  // unknown class
-		"f1:wfq:zz:3",       // bad seed hex
-		"f1:wfq:5eed:gg",    // bad mask hex
-		"f1:wfq:5eed",       // missing mask
-		"f1:wfq:5eed:3:bad", // trailing part
+	for _, tc := range []struct{ spec, field string }{
+		{"v1:wfq:5eed:3", "shape"},     // single-machine prefix on a fleet parser
+		{"f1:nosuch:5eed:3", "class"},  // unknown class
+		{"f1:wfq:zz:3", "seed"},        // bad seed hex
+		{"f1:wfq:5eed:gg", "mask"},     // bad mask hex
+		{"f1:wfq:5eed:ff", "mask"},     // mask beyond the generated kills
+		{"f1:wfq:5eed", "shape"},       // missing mask
+		{"f1:wfq:5eed:3:bad", "shape"}, // trailing part
 	} {
-		if _, err := ParseFleetSpec(spec); err == nil {
-			t.Errorf("ParseFleetSpec(%q) succeeded, want error", spec)
+		_, err := F1.Parse(tc.spec)
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != tc.field {
+			t.Errorf("F1.Parse(%q) = %v, want a *SpecError on field %q", tc.spec, err, tc.field)
 		}
 	}
 }
@@ -112,8 +117,8 @@ func TestFleetSpecErrors(t *testing.T) {
 // TestFleetCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: different seeds must not produce identical runs.
 func TestFleetCampaignSeedsDiffer(t *testing.T) {
-	a := FleetCampaign(GenerateFleet(0xa11ce, "wfq"), false)
-	b := FleetCampaign(GenerateFleet(0xf1ee7, "wfq"), false)
+	a := RunFleet(F1.Generate(0xa11ce, "wfq"), false)
+	b := RunFleet(F1.Generate(0xf1ee7, "wfq"), false)
 	if fmt.Sprint(a.Stats) == fmt.Sprint(b.Stats) && func() bool {
 		for mi := range a.Logs {
 			for sh := range a.Logs[mi] {
@@ -125,5 +130,17 @@ func TestFleetCampaignSeedsDiffer(t *testing.T) {
 		return true
 	}() {
 		t.Fatal("different seeds produced identical fleet runs")
+	}
+}
+
+// TestFleetReplay pins the f1: row of Replay: the pinned spec runs its
+// serial drive and passes the oracle.
+func TestFleetReplay(t *testing.T) {
+	r, err := Replay(fleetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed() || r.Report[0] != "replay "+fleetSpec+"  class=wfq  events=[machine-kill[m4@3ms] machine-kill[m7@3ms]]" {
+		t.Fatalf("replay of %s: %q", fleetSpec, r.Report)
 	}
 }

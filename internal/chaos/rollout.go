@@ -1,5 +1,5 @@
-// Rollout chaos: the fleet-rollout fault plane. The fleet campaign
-// (fleet.go) sabotages a steady-state cluster; the rollout campaign
+// Rollout chaos: the fleet-rollout fault plane. The fleet plane
+// (fleet.go) sabotages a steady-state cluster; the rollout plane
 // sabotages the cluster while it is *changing* — a canary rollout of a new
 // module generation is in flight when machines die, the new generation is
 // seeded faulty above a threshold, or failure detection is delayed. The
@@ -13,21 +13,17 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"enoki/internal/cluster"
 	"enoki/internal/core"
 	"enoki/internal/enokic"
-	"enoki/internal/kernel"
 	"enoki/internal/ktime"
-	"enoki/internal/record"
 	"enoki/internal/schedtest"
-	"enoki/internal/schedtest/conformance"
 )
 
-// Rollout campaign shape: the ten-machine recorded cluster of the fleet
+// Rollout run shape: the ten-machine recorded cluster of the fleet
 // plane, with a canary rollout started at t=0 whose waves (canary 1, widen
 // 2, 1ms soak) span the first handful of milliseconds — the window the
 // fault draws target.
@@ -67,71 +63,12 @@ func (e RolloutEvent) String() string {
 	}
 }
 
-// RolloutSchedule is one rollout run's fault plan: a class, the seed every
-// draw derives from, the generated events, and the enable mask a minimizer
-// clears bits in.
-type RolloutSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []RolloutEvent
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s RolloutSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// Enabled returns the surviving events, for reporting.
-func (s RolloutSchedule) Enabled() []RolloutEvent {
-	out := make([]RolloutEvent, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// EnabledCount returns how many events survive the mask.
-func (s RolloutSchedule) EnabledCount() int { return len(s.Enabled()) }
-
-// Spec renders the schedule as its replay string. GenerateRollout is a pure
-// function of (seed, class), so seed + mask reconstructs the exact fault
-// plan: the spec is the whole reproducer.
-func (s RolloutSchedule) Spec() string {
-	return fmt.Sprintf("r1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseRolloutSpec reconstructs a rollout schedule from a replay spec
-// (r1:<class>:<seed hex>:<mask hex>), regenerating the events from the
-// seed and applying the mask.
-func ParseRolloutSpec(spec string) (RolloutSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "r1", "r1:<class>:<seed>:<mask>")
-	if err != nil {
-		return RolloutSchedule{}, err
-	}
-	c, ok := caseByName(class)
-	if !ok {
-		return RolloutSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	if c.NewModule == nil {
-		return RolloutSchedule{}, fmt.Errorf("chaos: class %q has no upgradable module", class)
-	}
-	s := GenerateRollout(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return RolloutSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
-// GenerateRollout derives a rollout fault plan from a seed for one
-// scheduler class — a pure function, so the seed alone reproduces the
-// plan. The first draw is always a machine kill timed inside the rollout's
-// wave window; up to two more draws add a faulty new generation above a
-// threshold, a detection delay, or a second kill (never more than two
-// kills, so the survivors keep the capacity to finish the workload).
-func GenerateRollout(seed uint64, class string) RolloutSchedule {
+// rolloutEvents draws the r1: plane's faults. The first draw is always a
+// machine kill timed inside the rollout's wave window; up to two more draws
+// add a faulty new generation above a threshold, a detection delay, or a
+// second kill (never more than two kills, so the survivors keep the
+// capacity to finish the workload).
+func rolloutEvents(seed uint64, _ string) []RolloutEvent {
 	rng := ktime.NewRand(seed ^ rolloutSalt)
 	n := 1 + rng.Intn(3)
 	evs := make([]RolloutEvent, 0, n)
@@ -170,24 +107,24 @@ func GenerateRollout(seed uint64, class string) RolloutSchedule {
 			})
 		}
 	}
-	return RolloutSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(len(evs)) - 1}
+	return evs
 }
 
-// RolloutRunConfig tunes one rollout campaign run.
+// RolloutRunConfig tunes one rollout run.
 type RolloutRunConfig struct {
 	// Parallel drives the fleet on worker goroutines; serial and parallel
 	// runs of one schedule must agree byte for byte.
 	Parallel bool
 	// NoDeathResolve re-introduces the seeded bug where a dead machine's
 	// in-flight rollout slot is never resolved and the wave barrier hangs.
-	// The campaign exists to prove the oracle catches this.
+	// The plane exists to prove the oracle catches this.
 	NoDeathResolve bool
 }
 
-// RolloutOutcome is one rollout campaign's observable result plus the
-// oracle's verdict.
+// RolloutOutcome is one rollout run's observable result plus the oracle's
+// verdict.
 type RolloutOutcome struct {
-	Schedule RolloutSchedule
+	Schedule Schedule[RolloutEvent]
 	Stats    cluster.Stats
 	Jobs     []cluster.Job
 	Logs     [][][]byte
@@ -203,15 +140,21 @@ type RolloutOutcome struct {
 }
 
 // Failed reports whether the oracle found any invariant breach.
-func (r *RolloutOutcome) Failed() bool { return len(r.Violations) > 0 }
+func (r RolloutOutcome) Failed() bool { return len(r.Violations) > 0 }
 
-// RolloutCampaign runs one rollout fault plan against a ten-machine
-// recorded cluster of the schedule's class: every machine loads the
-// class's module above CFS on each shard, a seeded job mix is submitted up
-// front, a canary rollout of a fresh generation starts at t=0, and the
-// enabled faults land while its waves are in flight. Deterministic end to
-// end: same schedule + same config → same RolloutOutcome.
-func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
+func (r RolloutOutcome) report() (summary, violations []string) {
+	rep := r.Report
+	return []string{fmt.Sprintf("rollout resolved=%v halted=%v completed=%v upgraded=%d rolledback=%d dead=%d, jobs %d/%d done",
+		r.Resolved, rep.Halted, rep.Completed, rep.Upgraded, rep.RolledBack, rep.Dead,
+		r.Stats.Done, r.Stats.Submitted)}, r.Violations
+}
+
+// RunRollout runs one rollout fault plan against the recorded ten-machine
+// cluster of the schedule's class: a canary rollout of a fresh generation
+// starts at t=0, and the enabled faults land while its waves are in
+// flight. Deterministic end to end: same schedule + same config → same
+// RolloutOutcome.
+func RunRollout(s Schedule[RolloutEvent], rc RolloutRunConfig) RolloutOutcome {
 	c, ok := caseByName(s.Class)
 	if !ok || c.NewModule == nil {
 		return RolloutOutcome{Schedule: s, Violations: []string{fmt.Sprintf("class %q has no upgradable module", s.Class)}}
@@ -219,10 +162,7 @@ func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
 
 	detect := fleetDetectDelay
 	faultyThreshold := fleetMachines // above every machine: no faults
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlaneRolloutDelayDetect:
 			detect += time.Duration(ev.Delay)
@@ -233,43 +173,8 @@ func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
 		}
 	}
 
-	bufs := make([][]*bytes.Buffer, fleetMachines)
-	recs := make([][]*record.Recorder, fleetMachines)
-	cl := cluster.New(cluster.Config{
-		Machines:        fleetMachines,
-		Machine:         kernel.Machine8(),
-		Parallel:        rc.Parallel,
-		Policy:          conformance.PolicyTest,
-		Placer:          &cluster.Pack{PerCPU: 2},
-		RebalanceSpread: 3,
-		NetLatency:      fleetNetLatency,
-		DetectDelay:     detect,
-		SetupModules: func(mi int, sk *kernel.ShardedKernel) []*enokic.Adapter {
-			bufs[mi] = make([]*bytes.Buffer, sk.NumShards())
-			recs[mi] = make([]*record.Recorder, sk.NumShards())
-			ads := make([]*enokic.Adapter, sk.NumShards())
-			for sh := 0; sh < sk.NumShards(); sh++ {
-				k := sk.ShardKernel(sh)
-				ads[sh] = enokic.Load(k, conformance.PolicyTest, enokic.DefaultConfig(),
-					func(env core.Env) core.Scheduler { return c.NewModule(env, k.NumCPUs()) })
-				k.RegisterClass(conformance.PolicyCFS, kernel.NewCFS(k))
-				bufs[mi][sh] = &bytes.Buffer{}
-				recs[mi][sh] = record.New(k, bufs[mi][sh], conformance.PolicyCFS, record.DefaultCosts())
-				ads[sh].SetRecorder(recs[mi][sh])
-			}
-			return ads
-		},
-	})
+	cl := newRecordedCluster(c, s.Seed, rc.Parallel, detect, enokic.DefaultConfig())
 	defer cl.Close()
-
-	rng := ktime.NewRand(s.Seed ^ workloadSalt)
-	for i := 0; i < fleetJobs; i++ {
-		cl.Submit(cluster.JobSpec{
-			Cycles: 2 + rng.Intn(5),
-			Run:    time.Duration(80+rng.Intn(250)) * time.Microsecond,
-			Sleep:  time.Duration(rng.Intn(2)) * 150 * time.Microsecond,
-		})
-	}
 	factory := func(mi int, env core.Env) core.Scheduler {
 		sched := c.NewModule(env, env.NumCPUs())
 		if mi >= faultyThreshold {
@@ -285,32 +190,22 @@ func RolloutCampaign(s RolloutSchedule, rc RolloutRunConfig) RolloutOutcome {
 	if err != nil {
 		return RolloutOutcome{Schedule: s, Violations: []string{fmt.Sprintf("StartRollout: %v", err)}}
 	}
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) && ev.Plane == PlaneRolloutKill {
+	for _, ev := range s.Enabled() {
+		if ev.Plane == PlaneRolloutKill {
 			cl.FailMachine(ev.Machine, time.Duration(ev.At))
 		}
 	}
 	// A fixed virtual budget, not RunUntilIdle: the record drain tasks
 	// tick forever — and an unresolved rollout (the seeded bug this
-	// campaign hunts) would hold RunUntilIdle open forever anyway.
+	// plane hunts) would hold RunUntilIdle open forever anyway.
 	cl.Run(fleetBudget)
 
 	res := RolloutOutcome{
 		Schedule: s, Stats: cl.Stats(),
 		Resolved: ro.Done(), Report: ro.Report(), Slots: ro.Slots(),
-		Logs: make([][][]byte, fleetMachines),
 	}
-	for mi := 0; mi < fleetMachines; mi++ {
-		res.Logs[mi] = make([][]byte, len(bufs[mi]))
-		for sh := range bufs[mi] {
-			recs[mi][sh].Close()
-			res.Logs[mi][sh] = bufs[mi][sh].Bytes()
-		}
-	}
-	for i := 0; i < cl.NumJobs(); i++ {
-		res.Jobs = append(res.Jobs, cl.Job(i))
-	}
-	res.Violations = rolloutOracle(&res, cl)
+	res.Logs, res.Jobs = cl.finish()
+	res.Violations = rolloutOracle(&res, cl.Cluster)
 	return res
 }
 
@@ -417,42 +312,5 @@ func rolloutOracle(r *RolloutOutcome, cl *cluster.Cluster) []string {
 	if r.Stats.Done != r.Stats.Submitted {
 		add("lost jobs: %d of %d completed within budget", r.Stats.Done, r.Stats.Submitted)
 	}
-	// The record logs survive whatever the faults did to the fleet.
-	for mi, perShard := range r.Logs {
-		for sh, l := range perShard {
-			if l == nil {
-				continue
-			}
-			if _, err := record.Load(bytes.NewReader(l)); err != nil {
-				add("machine %d shard %d record log not decodable: %v", mi, sh, err)
-			}
-		}
-	}
-	return v
-}
-
-// MinimizeRollout shrinks a failing rollout schedule to a minimal
-// reproducer: greedy ddmin over the event mask, exactly as Minimize does
-// for single-machine schedules. The surviving spec string is the whole
-// reproducer.
-func MinimizeRollout(s RolloutSchedule, rc RolloutRunConfig) (RolloutSchedule, RolloutOutcome) {
-	res := RolloutCampaign(s, rc)
-	if !res.Failed() {
-		return s, res
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range s.Events {
-			if !s.EnabledAt(i) || s.EnabledCount() == 1 {
-				continue
-			}
-			trial := s
-			trial.Mask &^= 1 << uint(i)
-			if tr := RolloutCampaign(trial, rc); tr.Failed() {
-				s, res = trial, tr
-				changed = true
-			}
-		}
-	}
-	return s, res
+	return append(v, logViolations(r.Logs)...)
 }

@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"enoki/internal/cluster"
@@ -14,7 +16,7 @@ import (
 // waves are in flight. The clean machinery halts the rollout and rolls the
 // fleet back; the whole scenario replays from this one line. The seed was
 // chosen so at least one kill hits a machine already claimed by a wave; if
-// GenerateRollout's draw logic changes, re-pick a seed with the same
+// rolloutEvents' draw logic changes, re-pick a seed with the same
 // property.
 const rolloutSpec = "r1:wfq:9:7"
 
@@ -24,9 +26,9 @@ const rolloutSpec = "r1:wfq:9:7"
 // and worker-goroutine drives of the same spec agree on every outcome and
 // every record-log byte.
 func TestRolloutCampaignReplayFromSpec(t *testing.T) {
-	s, err := ParseRolloutSpec(rolloutSpec)
+	s, err := R1.Parse(rolloutSpec)
 	if err != nil {
-		t.Fatalf("ParseRolloutSpec(%q): %v", rolloutSpec, err)
+		t.Fatalf("R1.Parse(%q): %v", rolloutSpec, err)
 	}
 	if got := s.Spec(); got != rolloutSpec {
 		t.Fatalf("spec round-trip: %q -> %q", rolloutSpec, got)
@@ -35,8 +37,8 @@ func TestRolloutCampaignReplayFromSpec(t *testing.T) {
 		t.Fatalf("spec %q enables %d events, want 3", rolloutSpec, len(s.Enabled()))
 	}
 
-	serial := RolloutCampaign(s, RolloutRunConfig{})
-	par := RolloutCampaign(s, RolloutRunConfig{Parallel: true})
+	serial := RunRollout(s, RolloutRunConfig{})
+	par := RunRollout(s, RolloutRunConfig{Parallel: true})
 
 	for _, v := range serial.Violations {
 		t.Errorf("serial: %s", v)
@@ -90,8 +92,8 @@ func TestRolloutCampaignCleanSweep(t *testing.T) {
 	halted, completed := 0, 0
 	for seed := uint64(1); seed <= 12; seed++ {
 		class := classes[int(seed)%len(classes)]
-		s := GenerateRollout(seed, class)
-		r := RolloutCampaign(s, RolloutRunConfig{})
+		s := R1.Generate(seed, class)
+		r := RunRollout(s, RolloutRunConfig{})
 		for _, v := range r.Violations {
 			t.Errorf("seed %x class %s (%s): %s", seed, class, s.Spec(), v)
 		}
@@ -118,13 +120,13 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 	rc := RolloutRunConfig{NoDeathResolve: true}
 	caught := 0
 	for seed := uint64(1); seed <= 9 && caught < 2; seed++ {
-		s := GenerateRollout(seed, "wfq")
-		r := RolloutCampaign(s, rc)
+		s := R1.Generate(seed, "wfq")
+		r := RunRollout(s, rc)
 		if !r.Failed() {
 			continue // this seed's kills missed every in-flight wave slot
 		}
 		caught++
-		min, minRes := MinimizeRollout(s, rc)
+		min, minRes := Minimize(s, rc, RunRollout)
 		if !minRes.Failed() {
 			t.Fatalf("seed %x: minimized schedule no longer fails", seed)
 		}
@@ -136,18 +138,18 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 			t.Errorf("seed %x: minimal event is %v, want a rollout kill", seed, min.Enabled()[0])
 		}
 		// The one-line spec alone reproduces the same verdict.
-		replay, err := ParseRolloutSpec(min.Spec())
+		replay, err := R1.Parse(min.Spec())
 		if err != nil {
 			t.Fatalf("seed %x: minimized spec %q does not parse: %v", seed, min.Spec(), err)
 		}
-		rr := RolloutCampaign(replay, rc)
+		rr := RunRollout(replay, rc)
 		if !reflect.DeepEqual(rr.Violations, minRes.Violations) {
 			t.Errorf("seed %x: replayed verdict diverges:\nminimized %v\nreplayed  %v",
 				seed, minRes.Violations, rr.Violations)
 		}
 		// And with the fix back in place the same spec passes clean —
 		// pinning that the oracle blamed the bug, not the fault plan.
-		if fixed := RolloutCampaign(replay, RolloutRunConfig{}); fixed.Failed() {
+		if fixed := RunRollout(replay, RolloutRunConfig{}); fixed.Failed() {
 			t.Errorf("seed %x: fixed machinery still fails minimized spec %q: %v",
 				seed, min.Spec(), fixed.Violations)
 		}
@@ -161,11 +163,11 @@ func TestRolloutCampaignCatchesSeededBug(t *testing.T) {
 // a halting run: final slot states are terminal and each report count
 // matches its slot population.
 func TestRolloutCampaignSlotBalance(t *testing.T) {
-	s, err := ParseRolloutSpec(rolloutSpec)
+	s, err := R1.Parse(rolloutSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := RolloutCampaign(s, RolloutRunConfig{})
+	r := RunRollout(s, RolloutRunConfig{})
 	if !r.Resolved {
 		t.Fatal("campaign rollout unresolved")
 	}
@@ -184,21 +186,25 @@ func TestRolloutCampaignSlotBalance(t *testing.T) {
 	}
 }
 
-// TestRolloutSpecErrors pins the parser's rejection of malformed specs.
+// TestRolloutSpecErrors pins the parser's rejection of malformed specs:
+// every rejection is a *SpecError naming the offending field.
 func TestRolloutSpecErrors(t *testing.T) {
-	for _, spec := range []string{
-		"f1:wfq:9:7",    // fleet prefix on a rollout parser
-		"r1:nosuch:9:7", // unknown class
-		"r1:cfs:9:7",    // class without an upgradable module
-		"r1:wfq:zz:7",   // bad seed hex
-		"r1:wfq:9:gg",   // bad mask hex
-		"r1:wfq:9",      // missing mask
-		"r1:wfq:9:7:x",  // trailing part
-		"r1",            // truncated
-		"",              // empty
+	for _, tc := range []struct{ spec, field string }{
+		{"f1:wfq:9:7", "shape"},    // fleet prefix on a rollout parser
+		{"r1:nosuch:9:7", "class"}, // unknown class
+		{"r1:cfs:9:7", "class"},    // class without an upgradable module
+		{"r1:wfq:zz:7", "seed"},    // bad seed hex
+		{"r1:wfq:9:gg", "mask"},    // bad mask hex
+		{"r1:wfq:9:ff", "mask"},    // mask beyond the generated events
+		{"r1:wfq:9", "shape"},      // missing mask
+		{"r1:wfq:9:7:x", "shape"},  // trailing part
+		{"r1", "shape"},            // truncated
+		{"", "shape"},              // empty
 	} {
-		if _, err := ParseRolloutSpec(spec); err == nil {
-			t.Errorf("ParseRolloutSpec(%q) succeeded, want error", spec)
+		_, err := R1.Parse(tc.spec)
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != tc.field {
+			t.Errorf("R1.Parse(%q) = %v, want a *SpecError on field %q", tc.spec, err, tc.field)
 		}
 	}
 }
@@ -206,9 +212,25 @@ func TestRolloutSpecErrors(t *testing.T) {
 // TestRolloutCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: different seeds must not produce identical runs.
 func TestRolloutCampaignSeedsDiffer(t *testing.T) {
-	a := RolloutCampaign(GenerateRollout(0xa11ce, "wfq"), RolloutRunConfig{})
-	b := RolloutCampaign(GenerateRollout(0xf1ee7, "wfq"), RolloutRunConfig{})
+	a := RunRollout(R1.Generate(0xa11ce, "wfq"), RolloutRunConfig{})
+	b := RunRollout(R1.Generate(0xf1ee7, "wfq"), RolloutRunConfig{})
 	if fmt.Sprint(a.Stats) == fmt.Sprint(b.Stats) && reflect.DeepEqual(a.Report, b.Report) {
 		t.Fatal("different seeds produced identical rollout runs — the plan is not seed-sensitive")
+	}
+}
+
+// TestRolloutReplay pins the r1: row of Replay: the pinned spec halts and
+// rolls back clean, and a module-less class is a typed class error.
+func TestRolloutReplay(t *testing.T) {
+	r, err := Replay(rolloutSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Failed() || len(r.Report) != 3 || !strings.Contains(r.Report[1], "halted=true") {
+		t.Fatalf("replay of %s: %q", rolloutSpec, r.Report)
+	}
+	var se *SpecError
+	if _, err := Replay("r1:cfs:9:7"); !errors.As(err, &se) || se.Field != "class" {
+		t.Fatalf("Replay(r1:cfs:9:7) = %v, want a class *SpecError", err)
 	}
 }

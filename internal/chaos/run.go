@@ -22,7 +22,7 @@ type StormHint struct{ N int }
 
 func init() { gob.Register(StormHint{}) }
 
-// Seed salts: every stream a run draws from derives from Schedule.Seed, but
+// Seed salts: every stream a run draws from derives from the schedule seed, but
 // through distinct salts so the workload, the kernel fault draws, and the
 // schedule generation never share a sequence.
 const (
@@ -81,7 +81,7 @@ type UpgradeOutcome struct {
 
 // Result is one chaos run's observable outcome plus the oracle's verdict.
 type Result struct {
-	Schedule  Schedule
+	Schedule  Schedule[Event]
 	Tasks     int
 	Completed int
 	Killed    bool
@@ -107,7 +107,16 @@ type Result struct {
 }
 
 // Failed reports whether the oracle found any invariant breach.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
+func (r Result) Failed() bool { return len(r.Violations) > 0 }
+
+func (r Result) report() (summary, violations []string) {
+	summary = []string{fmt.Sprintf("completed %d/%d tasks, killed=%v, upgrades=%d",
+		r.Completed, r.Tasks, r.Killed, len(r.Upgrades))}
+	if r.Failure != nil {
+		summary = append(summary, fmt.Sprintf("module failure: %s at %v", r.Failure.Fault, r.Failure.At))
+	}
+	return summary, r.Violations
+}
 
 func caseByName(name string) (conformance.Case, bool) {
 	for _, c := range conformance.Cases() {
@@ -182,10 +191,48 @@ func (f *kernelFaults) SkewTimer(cpu int, d time.Duration) time.Duration {
 	return d
 }
 
+// arm applies one enabled module or kernel fault event: module planes arm
+// the injector when the class has a module to sabotage, kernel planes the
+// kernel fault windows. It reports whether it armed a kernel window; other
+// planes are the caller's to apply.
+func arm(ev Event, inj *schedtest.Injector, kf *kernelFaults, module bool) bool {
+	switch ev.Plane {
+	case PlanePanic:
+		if module {
+			inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
+		}
+	case PlaneStall:
+		if module {
+			inj.StallFrom = ev.At
+			inj.StallUntil = 0
+			if ev.Dur > 0 {
+				inj.StallUntil = ev.At + ev.Dur
+			}
+		}
+	case PlaneForge:
+		if module {
+			inj.ForgeFrom, inj.ForgeCount = int(ev.Mag), ev.Count
+		}
+	case PlaneIPIDrop:
+		kf.dropFrom, kf.dropUntil, kf.dropMag = ev.At, ev.At+ev.Dur, ev.Mag
+		return true
+	case PlaneIPIDelay:
+		kf.delayFrom, kf.delayUntil, kf.delayMag = ev.At, ev.At+ev.Dur, ev.Mag
+		return true
+	case PlaneIPIDup:
+		kf.dupFrom, kf.dupUntil, kf.dupMag = ev.At, ev.At+ev.Dur, ev.Mag
+		return true
+	case PlaneTimerSkew:
+		kf.skewFrom, kf.skewUntil, kf.skewMag = ev.At, ev.At+ev.Dur, ev.Mag
+		return true
+	}
+	return false
+}
+
 // Run executes one fault schedule against its class and judges the outcome
 // with the invariant oracle. Deterministic end to end: same schedule + same
 // config → same Result, byte-identical record log included.
-func Run(s Schedule, rc RunConfig) Result {
+func Run(s Schedule[Event], rc RunConfig) Result {
 	rc = rc.withDefaults()
 	c, ok := caseByName(s.Class)
 	if !ok {
@@ -227,43 +274,13 @@ func Run(s Schedule, rc RunConfig) Result {
 	armedKernel := false
 	var storms []Event
 
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
+		armedKernel = arm(ev, inj, kf, rig.Adapter != nil) || armedKernel
 		switch ev.Plane {
-		case PlanePanic:
-			if rig.Adapter != nil {
-				inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
-			}
-		case PlaneStall:
-			if rig.Adapter != nil {
-				inj.StallFrom = ev.At
-				inj.StallUntil = 0
-				if ev.Dur > 0 {
-					inj.StallUntil = ev.At + ev.Dur
-				}
-			}
-		case PlaneForge:
-			if rig.Adapter != nil {
-				inj.ForgeFrom, inj.ForgeCount = int(ev.Mag), ev.Count
-			}
 		case PlaneHintStorm:
 			if rig.Adapter != nil && c.SupportsHints {
 				storms = append(storms, ev)
 			}
-		case PlaneIPIDrop:
-			kf.dropFrom, kf.dropUntil, kf.dropMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneIPIDelay:
-			kf.delayFrom, kf.delayUntil, kf.delayMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneIPIDup:
-			kf.dupFrom, kf.dupUntil, kf.dupMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneTimerSkew:
-			kf.skewFrom, kf.skewUntil, kf.skewMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
 		case PlaneUpgrade, PlaneUpgradeKill:
 			if rig.Adapter == nil {
 				break
@@ -343,11 +360,8 @@ func Run(s Schedule, rc RunConfig) Result {
 // planes never justify a kill (the transaction must roll back), nor do hint
 // storms (overflow sheds, it does not corrupt) or kernel planes (IPI and
 // timer degradation bound liveness but never destroy it).
-func killJustified(s Schedule) bool {
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+func killJustified(s Schedule[Event]) bool {
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlanePanic, PlaneStall, PlaneForge:
 			return true

@@ -17,7 +17,7 @@ import (
 // the one campaign seed.
 const shardSalt uint64 = 0x94d049bb133111eb
 
-// ShardedResult is one sharded campaign's outcome. Logs holds the raw
+// ShardedResult is one sharded run's outcome. Logs holds the raw
 // per-shard record bytes; a serial and a parallel run of the same seed must
 // match field for field, Logs byte for byte.
 type ShardedResult struct {
@@ -32,7 +32,7 @@ type ShardedResult struct {
 	Violations    []string
 }
 
-// Failed reports whether the campaign breached any invariant.
+// Failed reports whether the run breached any invariant.
 func (r *ShardedResult) Failed() bool { return len(r.Violations) > 0 }
 
 // armShardFaults derives one shard's kernel fault windows from the campaign
@@ -61,15 +61,15 @@ func armShardFaults(seed uint64, shard int, k *kernel.Kernel, budget time.Durati
 	k.SetFaultInjector(kf)
 }
 
-// ShardedCampaign runs one seeded kernel-plane campaign for class on the
+// RunSharded runs one seeded kernel-plane chaos run for class on the
 // two-socket machine partitioned per NUMA node: per-shard seeded workloads,
 // cross-shard pinger traffic through the epoch-merge protocol, and per-shard
 // fault windows (IPI drop/delay/dup, timer skew) armed from the seed. The
-// campaign is deterministic end to end — with parallel false the shards run
+// run is deterministic end to end — with parallel false the shards run
 // in shard order on one goroutine, with parallel true on worker goroutines,
 // and both produce the same ShardedResult, record logs included. That
 // identity under armed fault windows is what the sharded chaos test pins.
-func ShardedCampaign(seed uint64, class string, budget time.Duration, tasksPerShard int, parallel bool) ShardedResult {
+func RunSharded(seed uint64, class string, budget time.Duration, tasksPerShard int, parallel bool) ShardedResult {
 	c, ok := caseByName(class)
 	if !ok {
 		return ShardedResult{Violations: []string{fmt.Sprintf("unknown class %q", class)}}

@@ -41,8 +41,8 @@ var goldenShardedCampaignDigest = map[uint64]uint64{
 // shard-owned under the parallel drive.
 func TestShardedCampaignIdentity(t *testing.T) {
 	for _, seed := range []uint64{1, 0x5eed, 0xbeefcafe} {
-		serial := ShardedCampaign(seed, "wfq", 120*time.Millisecond, 16, false)
-		par := ShardedCampaign(seed, "wfq", 120*time.Millisecond, 16, true)
+		serial := RunSharded(seed, "wfq", 120*time.Millisecond, 16, false)
+		par := RunSharded(seed, "wfq", 120*time.Millisecond, 16, true)
 
 		if serial.MsgsDelivered == 0 {
 			t.Fatalf("seed %#x: no cross-shard messages delivered", seed)
@@ -83,8 +83,8 @@ func TestShardedCampaignIdentity(t *testing.T) {
 // TestShardedCampaignSeedsDiffer guards against the campaign ignoring its
 // seed: two different seeds must not produce the same record bytes.
 func TestShardedCampaignSeedsDiffer(t *testing.T) {
-	a := ShardedCampaign(7, "wfq", 60*time.Millisecond, 12, false)
-	b := ShardedCampaign(8, "wfq", 60*time.Millisecond, 12, false)
+	a := RunSharded(7, "wfq", 60*time.Millisecond, 12, false)
+	b := RunSharded(8, "wfq", 60*time.Millisecond, 12, false)
 	same := true
 	for i := range a.Logs {
 		if !bytes.Equal(a.Logs[i], b.Logs[i]) {

@@ -27,73 +27,14 @@ import (
 // arrival draws (which use the same seed through the traffic package).
 const trafficSalt uint64 = 0xd6e8feb86659fd93
 
-// TrafficSchedule is one traffic-plane run's plan: traffic shapes plus
-// fault events, all derived from the seed, minimizable through the mask.
-type TrafficSchedule struct {
-	Seed   uint64
-	Class  string
-	Events []Event
-	Mask   uint64
-}
-
-// EnabledAt reports whether event i survives the mask.
-func (s TrafficSchedule) EnabledAt(i int) bool { return s.Mask>>uint(i)&1 == 1 }
-
-// EnabledCount counts surviving events.
-func (s TrafficSchedule) EnabledCount() int {
-	n := 0
-	for i := range s.Events {
-		if s.EnabledAt(i) {
-			n++
-		}
-	}
-	return n
-}
-
-// Enabled returns the surviving events, for reporting.
-func (s TrafficSchedule) Enabled() []Event {
-	out := make([]Event, 0, len(s.Events))
-	for i, ev := range s.Events {
-		if s.EnabledAt(i) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Spec renders the schedule's replay string.
-func (s TrafficSchedule) Spec() string {
-	return fmt.Sprintf("t1:%s:%x:%x", s.Class, s.Seed, s.Mask)
-}
-
-// ParseTrafficSpec reconstructs a traffic schedule from its replay spec
-// (t1:<class>:<seed hex>:<mask hex>).
-func ParseTrafficSpec(spec string) (TrafficSchedule, error) {
-	class, seed, mask, err := splitSpec(spec, "t1", "t1:<class>:<seed>:<mask>")
-	if err != nil {
-		return TrafficSchedule{}, err
-	}
-	if _, ok := caseByName(class); !ok {
-		return TrafficSchedule{}, &SpecError{Spec: spec, Field: "class",
-			Msg: fmt.Sprintf("unknown class %q", class)}
-	}
-	s := GenerateTraffic(seed, class)
-	if err := checkMask(spec, mask, s.Mask, len(s.Events)); err != nil {
-		return TrafficSchedule{}, err
-	}
-	s.Mask = mask
-	return s, nil
-}
-
-// trafficShapes are the planes GenerateTraffic always leads with.
+// trafficShapes are the planes trafficEvents always leads with.
 var trafficShapes = []Plane{PlaneTrafficFlash, PlaneTrafficAntag, PlaneTrafficChurn}
 
-// GenerateTraffic derives a traffic-plane schedule from a seed — pure, so
-// the seed alone reproduces the plan. The first event is always a traffic
-// shape (a traffic run without traffic tests nothing); the rest mix more
-// shapes with the class's fault planes, so campaigns sweep the cross
+// trafficEvents draws the t1: plane's events. The first event is always a
+// traffic shape (a traffic run without traffic tests nothing); the rest mix
+// more shapes with the class's fault planes, so campaigns sweep the cross
 // product of overload and sabotage.
-func GenerateTraffic(seed uint64, class string) TrafficSchedule {
+func trafficEvents(seed uint64, class string) []Event {
 	rng := ktime.NewRand(seed ^ trafficSalt)
 	c, _ := caseByName(class)
 	pool := []Plane{PlaneTrafficFlash, PlaneTrafficAntag, PlaneTrafficChurn,
@@ -125,7 +66,7 @@ func GenerateTraffic(seed uint64, class string) TrafficSchedule {
 			evs = append(evs, ev)
 		}
 	}
-	return TrafficSchedule{Seed: seed, Class: class, Events: evs, Mask: 1<<uint(n) - 1}
+	return evs
 }
 
 // trafficEventFor draws one traffic shape's window and multiplier, inside
@@ -165,7 +106,7 @@ func (rc TrafficRunConfig) withDefaults() TrafficRunConfig {
 
 // TrafficResult is one traffic run's outcome plus the oracle's verdict.
 type TrafficResult struct {
-	Schedule   TrafficSchedule
+	Schedule   Schedule[Event]
 	Report     traffic.Report
 	Killed     bool
 	Failure    *enokic.FailureReport
@@ -173,13 +114,19 @@ type TrafficResult struct {
 }
 
 // Failed reports whether the oracle found any invariant breach.
-func (r *TrafficResult) Failed() bool { return len(r.Violations) > 0 }
+func (r TrafficResult) Failed() bool { return len(r.Violations) > 0 }
+
+func (r TrafficResult) report() (summary, violations []string) {
+	n := r.Report.Total
+	return []string{fmt.Sprintf("conns=%d offered=%d admitted=%d shed=%d retried=%d dropped=%d killed=%v",
+		r.Report.Connections, n.Offered, n.Admitted, n.Shed, n.Retried, n.Dropped, r.Killed)}, r.Violations
+}
 
 // trafficScenario builds the fixed two-class scenario a traffic run
 // drives: a fanout service class on the module under test (or CFS for
 // module-less classes) and a CFS background class, two regions, diurnal
 // curve on. The schedule's enabled traffic shapes graft onto it.
-func trafficScenario(s TrafficSchedule, policy int) traffic.Scenario {
+func trafficScenario(s Schedule[Event], policy int) traffic.Scenario {
 	sc := traffic.Scenario{
 		Seed:     s.Seed,
 		Rate:     140_000,
@@ -195,10 +142,7 @@ func trafficScenario(s TrafficSchedule, policy int) traffic.Scenario {
 			{Name: "west", Share: 0.5, Offset: 4 * time.Millisecond},
 		},
 	}
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
+	for _, ev := range s.Enabled() {
 		switch ev.Plane {
 		case PlaneTrafficFlash:
 			sc.Shapes = append(sc.Shapes, traffic.Shape{Kind: traffic.Flash, Class: 0,
@@ -232,7 +176,7 @@ func trafficAdmission(policy int, leak bool) overload.Config {
 // through admission into a single 8-CPU kernel running the class under
 // test, while the schedule's fault events sabotage the module and the
 // machine. Deterministic end to end.
-func RunTraffic(s TrafficSchedule, rc TrafficRunConfig) TrafficResult {
+func RunTraffic(s Schedule[Event], rc TrafficRunConfig) TrafficResult {
 	rc = rc.withDefaults()
 	c, ok := caseByName(s.Class)
 	if !ok {
@@ -258,33 +202,8 @@ func RunTraffic(s TrafficSchedule, rc TrafficRunConfig) TrafficResult {
 
 	kf := &kernelFaults{clock: inj.Clock, rng: ktime.NewRand(s.Seed ^ kernelSalt)}
 	armedKernel := false
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
-		switch ev.Plane {
-		case PlanePanic:
-			if adapter != nil {
-				inj.PanicSite, inj.PanicAt = ev.Site, ev.Count
-			}
-		case PlaneStall:
-			if adapter != nil {
-				inj.StallFrom = ev.At
-				inj.StallUntil = 0
-				if ev.Dur > 0 {
-					inj.StallUntil = ev.At + ev.Dur
-				}
-			}
-		case PlaneIPIDrop:
-			kf.dropFrom, kf.dropUntil, kf.dropMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneIPIDelay:
-			kf.delayFrom, kf.delayUntil, kf.delayMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		case PlaneTimerSkew:
-			kf.skewFrom, kf.skewUntil, kf.skewMag = ev.At, ev.At+ev.Dur, ev.Mag
-			armedKernel = true
-		}
+	for _, ev := range s.Enabled() {
+		armedKernel = arm(ev, inj, kf, adapter != nil) || armedKernel
 	}
 	if armedKernel {
 		k.SetFaultInjector(kf)
@@ -310,22 +229,6 @@ func RunTraffic(s TrafficSchedule, rc TrafficRunConfig) TrafficResult {
 	res.Report = traffic.Collect(d)
 	res.Violations = trafficOracle(&res)
 	return res
-}
-
-// trafficKillJustified mirrors killJustified for traffic schedules: only
-// module-sabotage planes earn a kill; traffic shapes never do — overload
-// must shed, not destroy.
-func trafficKillJustified(s TrafficSchedule) bool {
-	for i, ev := range s.Events {
-		if !s.EnabledAt(i) {
-			continue
-		}
-		switch ev.Plane {
-		case PlanePanic, PlaneStall, PlaneForge:
-			return true
-		}
-	}
-	return false
 }
 
 // trafficOracle judges one traffic run. Every rule holds for any correct
@@ -357,7 +260,7 @@ func trafficOracle(r *TrafficResult) []string {
 	}
 	// Kills must be earned by a module-sabotage plane; a flash crowd that
 	// kills the module means overload reached the trait boundary.
-	if r.Killed && !trafficKillJustified(r.Schedule) {
+	if r.Killed && !killJustified(r.Schedule) {
 		cause := "unknown"
 		if r.Failure != nil {
 			cause = r.Failure.Fault.String()
@@ -369,117 +272,4 @@ func trafficOracle(r *TrafficResult) []string {
 		add("brownout entered but never recovered within budget")
 	}
 	return v
-}
-
-// MinimizeTraffic shrinks a failing traffic schedule to a minimal
-// reproducer, the same greedy ddmin over the event mask Minimize uses.
-func MinimizeTraffic(s TrafficSchedule, rc TrafficRunConfig) (TrafficSchedule, TrafficResult) {
-	res := RunTraffic(s, rc)
-	if !res.Failed() {
-		return s, res
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range s.Events {
-			if !s.EnabledAt(i) || s.EnabledCount() == 1 {
-				continue
-			}
-			trial := s
-			trial.Mask &^= 1 << uint(i)
-			if tr := RunTraffic(trial, rc); tr.Failed() {
-				s, res = trial, tr
-				changed = true
-			}
-		}
-	}
-	return s, res
-}
-
-// ReplayTrafficCommand renders the one-liner reproducing a failing
-// traffic schedule with the enoki-chaos CLI.
-func ReplayTrafficCommand(s TrafficSchedule, rc TrafficRunConfig) string {
-	cmd := fmt.Sprintf("enoki-chaos -replay %s", s.Spec())
-	if rc.LeakShed {
-		cmd += " -leakshed"
-	}
-	return cmd
-}
-
-// TrafficFailure is one failing traffic campaign run, minimized.
-type TrafficFailure struct {
-	Result    TrafficResult
-	Minimized TrafficSchedule
-	MinResult TrafficResult
-	Replay    string
-}
-
-// TrafficCampaignConfig drives a traffic-plane campaign.
-type TrafficCampaignConfig struct {
-	// Runs is how many seeded schedules to execute (default 30).
-	Runs int
-	// Seed roots the campaign.
-	Seed uint64
-	// Classes restricts the classes exercised (default: all, round-robin).
-	Classes []string
-	// MaxFailures stops the campaign after minimizing this many failures
-	// (default 3).
-	MaxFailures int
-	// Run tunes the individual runs.
-	Run TrafficRunConfig
-	// Progress, when set, receives one line per completed run.
-	Progress func(string)
-}
-
-// TrafficCampaignResult summarises a traffic campaign.
-type TrafficCampaignResult struct {
-	Runs     int
-	Failures []TrafficFailure
-}
-
-// OK reports a clean campaign.
-func (c *TrafficCampaignResult) OK() bool { return len(c.Failures) == 0 }
-
-// TrafficCampaign sweeps seeded traffic × fault schedules round-robin
-// across the target classes, minimizing every failure. Deterministic: the
-// master seed fixes every run.
-func TrafficCampaign(cfg TrafficCampaignConfig) TrafficCampaignResult {
-	if cfg.Runs == 0 {
-		cfg.Runs = 30
-	}
-	if cfg.MaxFailures == 0 {
-		cfg.MaxFailures = 3
-	}
-	classes := cfg.Classes
-	if len(classes) == 0 {
-		classes = ClassNames()
-	}
-	master := ktime.NewRand(cfg.Seed)
-	out := TrafficCampaignResult{}
-	for i := 0; i < cfg.Runs; i++ {
-		class := classes[i%len(classes)]
-		sch := GenerateTraffic(master.Uint64(), class)
-		res := RunTraffic(sch, cfg.Run)
-		out.Runs++
-		if cfg.Progress != nil {
-			status := "ok"
-			if res.Failed() {
-				status = fmt.Sprintf("FAIL (%d violations)", len(res.Violations))
-			}
-			cfg.Progress(fmt.Sprintf("run %3d %-10s %-26s %s", i, class, sch.Spec(), status))
-		}
-		if !res.Failed() {
-			continue
-		}
-		min, minRes := MinimizeTraffic(sch, cfg.Run)
-		out.Failures = append(out.Failures, TrafficFailure{
-			Result:    res,
-			Minimized: min,
-			MinResult: minRes,
-			Replay:    ReplayTrafficCommand(min, cfg.Run),
-		})
-		if len(out.Failures) >= cfg.MaxFailures {
-			break
-		}
-	}
-	return out
 }

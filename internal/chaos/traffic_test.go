@@ -11,7 +11,7 @@ import (
 const trafficSpec = "t1:shinjuku:2a:3"
 
 func TestParseTrafficSpecRoundTrip(t *testing.T) {
-	s, err := ParseTrafficSpec(trafficSpec)
+	s, err := T1.Parse(trafficSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestParseTrafficSpecTypedErrors(t *testing.T) {
 		"t1:shinjuku:2a:zz",     // bad mask
 		"t1:shinjuku:2a:ffffff", // mask beyond events
 	} {
-		_, err := ParseTrafficSpec(spec)
+		_, err := T1.Parse(spec)
 		if err == nil {
 			t.Fatalf("spec %q parsed", spec)
 		}
@@ -49,10 +49,10 @@ func TestParseTrafficSpecTypedErrors(t *testing.T) {
 }
 
 func TestGenerateTrafficPure(t *testing.T) {
-	a := GenerateTraffic(99, "shinjuku")
-	b := GenerateTraffic(99, "shinjuku")
+	a := T1.Generate(99, "shinjuku")
+	b := T1.Generate(99, "shinjuku")
 	if a.Spec() != b.Spec() || len(a.Events) != len(b.Events) {
-		t.Fatal("GenerateTraffic is not pure")
+		t.Fatal("T1.Generate is not pure")
 	}
 	for i := range a.Events {
 		if a.Events[i] != b.Events[i] {
@@ -64,7 +64,7 @@ func TestGenerateTrafficPure(t *testing.T) {
 // TestTrafficCampaignSmoke is the CI campaign: 30 seeded traffic × fault
 // schedules across every class must uphold every invariant.
 func TestTrafficCampaignSmoke(t *testing.T) {
-	res := TrafficCampaign(TrafficCampaignConfig{Runs: 30, Seed: 1})
+	res := Campaign(T1, CampaignConfig[TrafficRunConfig]{Runs: 30, Seed: 1})
 	if !res.OK() {
 		f := res.Failures[0]
 		t.Fatalf("campaign found %d failures; first: %v (replay: %s)",
@@ -81,7 +81,7 @@ func TestTrafficCampaignSmoke(t *testing.T) {
 // reproduces — the full find→shrink→replay loop on the traffic plane.
 func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 	rc := TrafficRunConfig{LeakShed: true}
-	res := TrafficCampaign(TrafficCampaignConfig{
+	res := Campaign(T1, CampaignConfig[TrafficRunConfig]{
 		Runs: 12, Seed: 1, MaxFailures: 1, Run: rc,
 		Classes: []string{"shinjuku"},
 	})
@@ -102,7 +102,7 @@ func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 		t.Fatal("ddmin grew the schedule")
 	}
 	// The minimized spec replays to the same failure.
-	s, err := ParseTrafficSpec(f.Minimized.Spec())
+	s, err := T1.Parse(f.Minimized.Spec())
 	if err != nil {
 		t.Fatalf("minimized spec does not parse: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestTrafficLeakShedCaughtAndMinimized(t *testing.T) {
 // TestRunTrafficDeterministic pins that a run is a pure function of its
 // schedule: same spec, same totals, fingerprint included.
 func TestRunTrafficDeterministic(t *testing.T) {
-	s := GenerateTraffic(7, "shinjuku")
+	s := T1.Generate(7, "shinjuku")
 	a := RunTraffic(s, TrafficRunConfig{})
 	b := RunTraffic(s, TrafficRunConfig{})
 	if a.Report.Fingerprint() != b.Report.Fingerprint() {
@@ -130,5 +130,20 @@ func TestRunTrafficDeterministic(t *testing.T) {
 	}
 	if len(a.Violations) != 0 {
 		t.Fatalf("violations: %v", a.Violations)
+	}
+}
+
+// TestTrafficReplay pins the t1: row of Replay: the pinned spec breaks
+// conservation only with the LeakShed bug planted.
+func TestTrafficReplay(t *testing.T) {
+	leak, err := Replay(trafficSpec, TrafficRunConfig{LeakShed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !leak.Failed() || !strings.Contains(leak.Violations[0], "conservation") {
+		t.Fatalf("LeakShed replay of %s: %q", trafficSpec, leak.Report)
+	}
+	if clean, err := Replay(trafficSpec); err != nil || clean.Failed() {
+		t.Fatalf("clean replay of %s: %v %v", trafficSpec, err, clean.Violations)
 	}
 }

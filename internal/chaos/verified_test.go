@@ -15,7 +15,7 @@ func TestCampaignVerifiedTierSmoke(t *testing.T) {
 	if testing.Short() {
 		runs = 7
 	}
-	res := Campaign(CampaignConfig{
+	res := Campaign(V1, CampaignConfig[RunConfig]{
 		Runs: runs,
 		Seed: 0x7e81f1ed,
 		Run:  RunConfig{VerifiedTier: true},
@@ -33,10 +33,8 @@ func TestCampaignVerifiedTierSmoke(t *testing.T) {
 // with the verified tier mounted reports picks and no kill, and the replay
 // command carries the -verified flag.
 func TestRunVerifiedTierReported(t *testing.T) {
-	s := Generate(42, "wfq")
-	for i := range s.Events {
-		s.Mask &^= 1 << uint(i) // disable every fault plane
-	}
+	s := V1.Generate(42, "wfq")
+	s.Mask = 0 // disable every fault plane
 	res := Run(s, RunConfig{VerifiedTier: true})
 	if res.Failed() {
 		t.Fatalf("quiet verified run failed: %v", res.Violations)

@@ -57,12 +57,13 @@ bench-overload:
 # golden fleet and rollout digests — plus the machine-kill chaos replay, the
 # chaos spec-parser fuzz corpus, and the scaled-down fleet benchmark's
 # fingerprint check (the epoch executor's own tests run in `make sharded`).
-# The last step runs the per-job allocation ratchet and the message-record
-# size guard without the race detector.
+# The last step runs the allocation ratchets — per fleet job, per task
+# spawn/exit, per wheel slab — and the message-record size guard without
+# the race detector.
 fleet:
 	$(GO) test -race -count=1 ./internal/cluster
 	$(GO) test -race -run 'TestFleet|FuzzParseSpec' -count=1 ./internal/chaos ./internal/bench
-	$(GO) test -run 'TestFleetJobAllocRatchet|TestMessageRecordSizes' -count=1 ./internal/cluster ./internal/sim
+	$(GO) test -run 'TestFleetJobAllocRatchet|TestSpawnExitAllocRatchet|TestWheelSlab|TestMessageRecordSizes' -count=1 ./internal/cluster ./internal/kernel ./internal/sim
 
 # Rollout gate mirroring the CI job: the canary-upgrade state machine under
 # the race detector — serial-vs-parallel identity of clean and halted

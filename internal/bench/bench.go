@@ -182,7 +182,8 @@ func WakeBurst(b *testing.B) {
 	}
 }
 
-// SpawnExit measures task creation and teardown.
+// SpawnExit measures task creation and teardown. One allocation per op,
+// the Task: TestSpawnExitAllocRatchet holds it there.
 func SpawnExit(b *testing.B) {
 	eng := sim.New()
 	k := kernel.New(eng, kernel.Machine8(), kernel.DefaultCosts())

@@ -61,8 +61,9 @@ type Machine struct {
 }
 
 // jobRun is the on-machine state of one placed job, and the kernel
-// Behavior of its task: cyclesLeft compute segments, parking between them
-// per the spec, honoring the cooperative stop flag at every cycle boundary.
+// Behavior and ExitObserver of its task: cyclesLeft compute segments,
+// parking between them per the spec, honoring the cooperative stop flag at
+// every cycle boundary, and reporting when the task dies.
 type jobRun struct {
 	m          *Machine
 	id         int
@@ -84,8 +85,8 @@ func (jr *jobRun) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
 	return kernel.Action{Run: jr.spec.Run, Op: kernel.OpYield}
 }
 
-// exited is the task's exit observer.
-func (jr *jobRun) exited() { jr.m.onExit(jr) }
+// TaskExited implements kernel.ExitObserver.
+func (jr *jobRun) TaskExited(*kernel.Kernel, *kernel.Task) { jr.m.onExit(jr) }
 
 func newMachine(c *Cluster, id int) *Machine {
 	sk := kernel.NewShardedKernel(c.cfg.Machine, kernel.CostsFor(c.cfg.Machine), 0)
@@ -176,7 +177,7 @@ func (m *Machine) report(shard int, msg sim.Msg) {
 // job's task into the configured policy class and ack the placement.
 func (m *Machine) applyStart(jr *jobRun) {
 	m.spawned++
-	m.sk.ShardKernel(jr.shard).Spawn(jr.spec.Name, m.c.cfg.Policy, jr, kernel.WithExitObserver(jr.exited))
+	m.sk.ShardKernel(jr.shard).Spawn(jr.spec.Name, m.c.cfg.Policy, jr)
 	m.report(jr.shard, sim.Msg{Kind: msgStarted, A: int32(jr.id), B: int32(m.id)})
 }
 

@@ -81,3 +81,17 @@ func TestWakeBurstZeroAlloc(t *testing.T) {
 		t.Errorf("batched WakeBurst: %d allocs/op, want 0", allocs)
 	}
 }
+
+// TestSpawnExitAllocRatchet is the allocation ratchet for the task
+// lifecycle: spawn into CFS, run one segment, exit. The Task is the only
+// allocation — its CFS entity and run-queue node are embedded in it, and
+// the segment-completion timer is the CPU's.
+func TestSpawnExitAllocRatchet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed; skipped in -short")
+	}
+	r := testing.Benchmark(bench.SpawnExit)
+	if allocs := r.AllocsPerOp(); allocs > 1 {
+		t.Errorf("SpawnExit: %d allocs/op, want at most 1 (the Task)", allocs)
+	}
+}

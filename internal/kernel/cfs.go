@@ -51,14 +51,17 @@ const (
 	cfsNUMAImbalance = 2
 )
 
-// cfsEntity is the per-task CFS state (struct sched_entity analogue).
+// cfsEntity is the per-task CFS state (struct sched_entity analogue). It
+// lives inside its Task (Task.cfs) and embeds its own run-queue node, which
+// is linked into a cfsRq tree exactly while the entity is queued and not
+// running.
 type cfsEntity struct {
 	t           *Task
 	weight      int64
 	vruntime    int64 // weighted virtual runtime, ns
 	prevSum     time.Duration
 	lastPickSum time.Duration
-	node        *rbtree.Node[int64, *cfsEntity]
+	node        rbtree.Node[int64, *cfsEntity]
 	everRan     bool
 }
 
@@ -167,9 +170,12 @@ func (c *CFS) OverheadPerCall() time.Duration { return 0 }
 
 func (c *CFS) ent(t *Task) *cfsEntity { return t.classData.(*cfsEntity) }
 
-// TaskNew implements Class.
+// TaskNew implements Class: reset the task's embedded entity to the state
+// of a fresh fork, so a task that left CFS and comes back (setscheduler,
+// module-kill rehome) carries nothing over from its earlier stay.
 func (c *CFS) TaskNew(t *Task) {
-	t.classData = &cfsEntity{t: t, weight: WeightOf(t.Nice())}
+	t.cfs = cfsEntity{t: t, weight: WeightOf(t.Nice())}
+	t.classData = &t.cfs
 }
 
 // TaskDead implements Class.
@@ -212,7 +218,7 @@ func (c *CFS) Enqueue(cpu int, t *Task, wakeup bool) {
 		e.everRan = true
 		e.vruntime = rq.minV + c.vslice(rq, e)
 	}
-	e.node = rq.tree.Insert(e.vruntime, e)
+	rq.tree.Insert(&e.node, e.vruntime, e)
 	rq.totalWeight += e.weight
 	rq.updateMinV()
 }
@@ -228,11 +234,8 @@ func (c *CFS) Dequeue(cpu int, t *Task, sleep bool) {
 		rq.updateMinV()
 		return
 	}
-	if e.node != nil {
-		n := e.node
-		rq.tree.Delete(n)
-		rq.tree.Free(n)
-		e.node = nil
+	if e.node.Inserted() {
+		rq.tree.Delete(&e.node)
 		rq.totalWeight -= e.weight
 		rq.updateMinV()
 	}
@@ -256,7 +259,7 @@ func (c *CFS) putBack(cpu int, t *Task) {
 	}
 	c.updateCurr(cpu)
 	rq.curr = nil
-	e.node = rq.tree.Insert(e.vruntime, e)
+	rq.tree.Insert(&e.node, e.vruntime, e)
 }
 
 // PickNext implements Class: run the leftmost (lowest vruntime) entity.
@@ -272,8 +275,6 @@ func (c *CFS) PickNext(cpu int) *Task {
 	}
 	e := n.Value()
 	rq.tree.Delete(n)
-	rq.tree.Free(n)
-	e.node = nil
 	rq.curr = e
 	e.prevSum = e.t.SumExec()
 	e.lastPickSum = e.t.SumExec()
@@ -477,7 +478,7 @@ func (c *CFS) PrioChanged(t *Task) {
 	e := c.ent(t)
 	old := e.weight
 	e.weight = WeightOf(t.Nice())
-	if e.node != nil || c.rqs[t.CPU()].curr == e {
+	if e.node.Inserted() || c.rqs[t.CPU()].curr == e {
 		c.rqs[t.CPU()].totalWeight += e.weight - old
 	}
 }

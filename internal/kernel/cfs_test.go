@@ -78,7 +78,8 @@ func TestCFSSliceShrinksWithLoad(t *testing.T) {
 	}
 	// Crowded queue: per-task slice shrinks but respects min granularity.
 	for i := 0; i < 20; i++ {
-		rq.tree.Insert(int64(i), &cfsEntity{weight: NICE0Load})
+		q := &cfsEntity{weight: NICE0Load}
+		rq.tree.Insert(&q.node, int64(i), q)
 	}
 	rq.totalWeight = 21 * NICE0Load
 	crowded := c.slice(rq, e)

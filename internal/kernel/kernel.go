@@ -32,11 +32,16 @@ type CPU struct {
 	wakingUntil ktime.Time
 	wasIdle     bool
 
-	// tickEvent and reschedTimer are persistent events re-armed in place
-	// (sim.Reschedule): one Event object per CPU for the life of the kernel
-	// instead of a closure + Event allocation per arm.
-	tickEvent    *sim.Event
-	reschedTimer *sim.Event
+	// tickEvent, reschedTimer and segEvent are persistent events embedded
+	// in the CPU and re-armed in place (sim.Reschedule): one Event per
+	// timer for the life of the kernel instead of a closure + Event
+	// allocation per arm. segEvent completes the running task's current
+	// compute segment; a CPU runs one task at a time, so one event per CPU
+	// serves every task it runs, and every path that takes the task off
+	// the CPU cancels it.
+	tickEvent    sim.Event
+	reschedTimer sim.Event
+	segEvent     sim.Event
 	tickRunning  bool
 
 	// kickFn and kick0Fn are the pre-built closures behind kick(): delayed
@@ -84,6 +89,15 @@ type Kernel struct {
 	// finj is the optional kernel-plane fault hook (faults.go): nil in
 	// normal operation, so the kick and timer paths pay one pointer test.
 	finj core.KernelFaultInjector
+
+	// sleepers holds the tasks parked by OpSleep, a min-heap on (wake
+	// time, post order). Each sleep posts the one pre-built wakeSleeper
+	// closure fire-and-forget at its wake time; the engine fires those
+	// posts in (time, post order) too, so every firing pops exactly the
+	// sleeper it was posted for, and a self-wake allocates nothing.
+	sleepers    []sleeper
+	sleepSeq    uint64
+	wakeSleeper func()
 
 	// Batched cross-CPU signal path: while a batch window is open (multi-
 	// task wake bursts), kicks destined for other CPUs are coalesced per
@@ -139,8 +153,9 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 	}
 	for i := 0; i < m.NumCPUs; i++ {
 		c := &CPU{id: i}
-		c.tickEvent = eng.NewEvent(func() { k.tickFire(c) })
-		c.reschedTimer = eng.NewEvent(func() { k.Resched(c.id) })
+		eng.InitEvent(&c.tickEvent, func() { k.tickFire(c) })
+		eng.InitEvent(&c.reschedTimer, func() { k.Resched(c.id) })
+		eng.InitEvent(&c.segEvent, func() { k.segmentDone(c, c.curr) })
 		c.kickFn = func() { k.schedule(c.id) }
 		c.kick0Fn = func() {
 			c.kickPending = false
@@ -148,6 +163,7 @@ func New(eng *sim.Engine, m Machine, costs Costs) *Kernel {
 		}
 		k.cpus = append(k.cpus, c)
 	}
+	k.wakeSleeper = func() { k.Wake(k.popSleeper()) }
 	return k
 }
 
@@ -298,7 +314,8 @@ func WithWakeObserver(f func(time.Duration)) SpawnOption {
 	return func(t *Task) { t.OnWake = f }
 }
 
-// WithExitObserver installs an exit callback.
+// WithExitObserver installs an exit callback. A behavior that is already a
+// per-task record can implement ExitObserver instead and save the closure.
 func WithExitObserver(f func()) SpawnOption { return func(t *Task) { t.OnExit = f } }
 
 // WithUserData attaches workload state to the task.
@@ -450,7 +467,7 @@ func (k *Kernel) ArmResched(cpu int, d time.Duration) {
 	}
 	// Reschedule moves an already-armed timer in place (the old arm is
 	// superseded, matching the previous cancel + re-create semantics).
-	k.eng.RescheduleAfter(c.reschedTimer, d)
+	k.eng.RescheduleAfter(&c.reschedTimer, d)
 }
 
 // beginBatch opens the cross-CPU signal batch window: until flushBatch,
@@ -622,7 +639,7 @@ func (k *Kernel) schedule(cpu int) {
 
 	if prev != nil {
 		k.account(c)
-		prev.runEvent.Cancel()
+		c.segEvent.Cancel()
 		if prev.state == StateRunning {
 			prev.state = StateRunnable
 			oh += prev.class.OverheadPerCall()
@@ -653,7 +670,7 @@ func (k *Kernel) schedule(cpu int) {
 	if next == nil {
 		c.busy += oh
 		if c.pickTimer >= 0 {
-			k.eng.RescheduleAfter(c.reschedTimer, oh+c.pickTimer)
+			k.eng.RescheduleAfter(&c.reschedTimer, oh+c.pickTimer)
 		}
 		if !c.wasIdle {
 			c.wasIdle = true
@@ -671,7 +688,7 @@ func (k *Kernel) schedule(cpu int) {
 	c.busy += oh
 	if c.pickTimer >= 0 {
 		// The quantum starts when the task does (execStart = now + oh).
-		k.eng.RescheduleAfter(c.reschedTimer, oh+c.pickTimer)
+		k.eng.RescheduleAfter(&c.reschedTimer, oh+c.pickTimer)
 	}
 	c.curr = next
 	next.state = StateRunning
@@ -696,6 +713,13 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 		t.pending = t.behavior.Next(k, t)
 		t.hasPending = true
 		t.segLeft = t.pending.Run
+		if c.curr != t {
+			// The behavior moved its own task off this CPU (affinity or
+			// class change from inside Next); the pending action runs
+			// wherever the task is picked next, and c.segEvent belongs
+			// to whatever this CPU runs now.
+			return
+		}
 	}
 	now := k.eng.Now()
 	t.execStart = now.Add(delay)
@@ -709,16 +733,13 @@ func (k *Kernel) startSegment(c *CPU, t *Task, delay time.Duration) {
 			t.OnWake(lat)
 		}
 	}
-	if t.runEvent == nil {
-		t.runEvent = k.eng.NewEvent(func() { k.segmentDone(k.cpus[t.cpu], t) })
-	}
-	k.eng.Reschedule(t.runEvent, t.execStart.Add(t.segLeft))
+	k.eng.Reschedule(&c.segEvent, t.execStart.Add(t.segLeft))
 }
 
 // segmentDone completes the task's current segment: perform its wakes, then
 // apply its operation.
 func (k *Kernel) segmentDone(c *CPU, t *Task) {
-	if c.curr != t || t.state != StateRunning {
+	if t == nil || t.state != StateRunning {
 		return // stale completion; the task was preempted or moved
 	}
 	k.account(c)
@@ -775,10 +796,8 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		c.pendingCost += extra + t.class.OverheadPerCall()
 		t.class.Dequeue(c.id, t, true)
 		if act.Op == OpSleep {
-			if t.wakeFn == nil {
-				t.wakeFn = func() { k.Wake(t) }
-			}
-			k.eng.Post(act.SleepFor, t.wakeFn)
+			k.pushSleeper(k.eng.Now().Add(act.SleepFor), t)
+			k.eng.Post(act.SleepFor, k.wakeSleeper)
 		}
 		k.schedule(c.id)
 	case OpExit:
@@ -790,6 +809,9 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 		t.class.TaskDead(t)
 		delete(k.tasks, t.pid)
 		k.traceEvent(trace.KindExit, c.id, t.pid, k.classID(t.class), 0)
+		if eo, ok := t.behavior.(ExitObserver); ok {
+			eo.TaskExited(k, t)
+		}
 		if t.OnExit != nil {
 			t.OnExit()
 		}
@@ -799,6 +821,63 @@ func (k *Kernel) segmentDone(c *CPU, t *Task) {
 	}
 }
 
+// sleeper is one OpSleep self-wake in flight: the task wakes at at; seq is
+// the kernel-wide post order, breaking ties between equal wake times the
+// way the engine breaks ties between equal-time posts.
+type sleeper struct {
+	at  ktime.Time
+	seq uint64
+	t   *Task
+}
+
+func (a sleeper) less(b sleeper) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// pushSleeper files t on the sleeper heap to wake at at.
+func (k *Kernel) pushSleeper(at ktime.Time, t *Task) {
+	h := append(k.sleepers, sleeper{at: at, seq: k.sleepSeq, t: t})
+	k.sleepSeq++
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	k.sleepers = h
+}
+
+// popSleeper removes and returns the earliest sleeper's task.
+func (k *Kernel) popSleeper() *Task {
+	h := k.sleepers
+	t := h[0].t
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = sleeper{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	k.sleepers = h
+	return t
+}
+
 // ensureTick starts the per-CPU scheduler tick chain if it is not running.
 // The chain self-stops when the CPU goes idle.
 func (k *Kernel) ensureTick(c *CPU) {
@@ -806,7 +885,7 @@ func (k *Kernel) ensureTick(c *CPU) {
 		return
 	}
 	c.tickRunning = true
-	k.eng.RescheduleAfter(c.tickEvent, k.costs.TickPeriod)
+	k.eng.RescheduleAfter(&c.tickEvent, k.costs.TickPeriod)
 }
 
 // tickFire is one scheduler tick on c: charge the tick cost, let the current
@@ -823,7 +902,7 @@ func (k *Kernel) tickFire(c *CPU) {
 	t.class.Tick(c.id, t)
 	k.traceEvent(trace.KindTick, c.id, t.pid, k.classID(t.class), 0)
 	k.nohzKick(c)
-	k.eng.RescheduleAfter(c.tickEvent, k.costs.TickPeriod)
+	k.eng.RescheduleAfter(&c.tickEvent, k.costs.TickPeriod)
 }
 
 // nohzKick is the NOHZ idle-balance analogue: a busy CPU with queued work
@@ -922,7 +1001,7 @@ func (k *Kernel) SetAffinity(t *Task, m CPUMask) {
 		// Force the task off its CPU; it re-selects a queue on requeue.
 		c := k.cpus[t.cpu]
 		k.account(c)
-		t.runEvent.Cancel()
+		c.segEvent.Cancel()
 		t.state = StateRunnable
 		t.class.PutPrev(t.cpu, t, true)
 		t.class.Dequeue(t.cpu, t, false)
@@ -973,7 +1052,7 @@ func (k *Kernel) SetScheduler(t *Task, classID int) {
 	case StateRunning:
 		c := k.cpus[t.cpu]
 		k.account(c)
-		t.runEvent.Cancel()
+		c.segEvent.Cancel()
 		t.state = StateRunnable
 		old.PutPrev(t.cpu, t, true)
 		old.Dequeue(t.cpu, t, false)

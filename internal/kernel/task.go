@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"enoki/internal/ktime"
-	"enoki/internal/sim"
 )
 
 // State is a task's lifecycle state, mirroring the subset of Linux task
@@ -79,6 +78,17 @@ type Action struct {
 // loops are all Behaviors.
 type Behavior interface {
 	Next(k *Kernel, t *Task) Action
+}
+
+// ExitObserver is optionally implemented by a Behavior that wants to hear
+// its task die. It is the closure-free twin of WithExitObserver: a workload
+// whose behavior is already a per-task record gets its exit hook from the
+// same object. When a task applies OpExit, the kernel first removes it from
+// its class and from the live-task table, then calls TaskExited on its
+// behavior (if the behavior implements ExitObserver), then the task's
+// OnExit callback (if set), and only then runs the CPU's next schedule pass.
+type ExitObserver interface {
+	TaskExited(k *Kernel, t *Task)
 }
 
 // BehaviorFunc adapts a function to the Behavior interface.
@@ -193,13 +203,14 @@ type Task struct {
 
 	allowed CPUMask
 
-	// runEvent is the task's persistent segment-completion event, re-armed
-	// in place (sim.Reschedule) for every compute segment. wakeFn is the
-	// lazily built OpSleep self-wake closure, posted fire-and-forget.
-	runEvent *sim.Event
-	wakeFn   func()
+	// cfs is the task's CFS entity, embedded by value as task_struct embeds
+	// sched_entity (which in turn embeds its run-queue node), so a task in
+	// the fair class costs no allocation beyond the Task. CFS.TaskNew
+	// re-initialises it every time the task joins the class.
+	cfs cfsEntity
 
-	// classData is private per-class state (e.g. the CFS entity).
+	// classData is private per-class state: &cfs for CFS tasks, the
+	// class's own record for the others.
 	classData any
 
 	// OnWake, if set, observes each wakeup-to-running latency.

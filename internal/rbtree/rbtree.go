@@ -3,9 +3,12 @@
 //
 // It exists because both CFS and the Enoki WFQ scheduler key their run queues
 // by vruntime, where many entities can share a key: deletion must therefore
-// operate on the exact node handle returned by Insert, not on a key search.
-// The structure mirrors what kernel/sched/fair.c gets from the kernel's
-// rb_tree with a cached leftmost pointer.
+// operate on the exact node that was inserted, not on a key search. The
+// structure mirrors what kernel/sched/fair.c gets from the kernel's rb_tree
+// with a cached leftmost pointer, down to who owns the memory: nodes are
+// intrusive. The caller embeds a Node in its element (as sched_entity embeds
+// its rb_node) and hands it to Insert, so the tree itself never allocates
+// after New.
 //
 // The implementation is CLRS-style with a per-tree sentinel leaf.
 package rbtree
@@ -17,8 +20,10 @@ const (
 	black color = true
 )
 
-// Node is a handle to an inserted element. Callers keep it to delete the
-// element in O(log n) without a search.
+// Node is an element's link into a tree. The caller owns it, usually
+// embedded by value in the element, and passes it to Insert; it then
+// deletes the element in O(log n) without a search. The zero value is an
+// unlinked node. A node sits in at most one tree at a time.
 type Node[K, V any] struct {
 	key                 K
 	val                 V
@@ -36,6 +41,9 @@ func (n *Node[K, V]) Value() V { return n.val }
 // SetValue replaces the node's value without reordering.
 func (n *Node[K, V]) SetValue(v V) { n.val = v }
 
+// Inserted reports whether the node is currently linked into a tree.
+func (n *Node[K, V]) Inserted() bool { return n.tree != nil }
+
 // Tree is a red-black tree ordered by a strict-weak less function. Equal keys
 // are allowed; among equal keys, later insertions land to the right, so
 // iteration is stable in insertion order within a key (this matches CFS,
@@ -47,10 +55,6 @@ type Tree[K, V any] struct {
 	nilNode  *Node[K, V]
 	leftmost *Node[K, V]
 	size     int
-	// pool chains removed nodes handed back via Free (linked through
-	// .right); Insert reuses them so steady-state enqueue/dequeue cycles
-	// allocate no nodes.
-	pool *Node[K, V]
 }
 
 // New returns an empty tree ordered by less.
@@ -74,22 +78,17 @@ func (t *Tree[K, V]) Min() *Node[K, V] {
 	return t.leftmost
 }
 
-// Insert adds (key, val) and returns the node handle.
-func (t *Tree[K, V]) Insert(key K, val V) *Node[K, V] {
-	n := t.pool
-	if n != nil {
-		t.pool = n.right
-		n.key, n.val = key, val
-		n.left, n.right, n.parent = t.nilNode, t.nilNode, t.nilNode
-		n.color = red
-		n.tree = t
-	} else {
-		n = &Node[K, V]{
-			key: key, val: val,
-			left: t.nilNode, right: t.nilNode, parent: t.nilNode,
-			color: red, tree: t,
-		}
+// Insert links the caller-owned node n into the tree under key, carrying
+// val. Inserting a node that is already in a tree (this one or another)
+// panics: relinking it would silently corrupt both.
+func (t *Tree[K, V]) Insert(n *Node[K, V], key K, val V) {
+	if n.tree != nil {
+		panic("rbtree: Insert of node already in a tree")
 	}
+	n.key, n.val = key, val
+	n.left, n.right, n.parent = t.nilNode, t.nilNode, t.nilNode
+	n.color = red
+	n.tree = t
 	y := t.nilNode
 	x := t.root
 	isLeftmost := true
@@ -116,11 +115,11 @@ func (t *Tree[K, V]) Insert(key K, val V) *Node[K, V] {
 	}
 	t.size++
 	t.insertFixup(n)
-	return n
 }
 
-// Delete removes the node from the tree. Deleting a node twice, or a node
-// from another tree, panics: it would silently corrupt a run queue.
+// Delete unlinks the node from the tree. The node keeps its key and value
+// and may be inserted again. Deleting a node twice, or a node from another
+// tree, panics: it would silently corrupt a run queue.
 func (t *Tree[K, V]) Delete(n *Node[K, V]) {
 	if n == nil || n.tree != t {
 		panic("rbtree: Delete of node not in this tree")
@@ -132,27 +131,6 @@ func (t *Tree[K, V]) Delete(n *Node[K, V]) {
 	n.tree = nil
 	n.left, n.right, n.parent = nil, nil, nil
 	t.size--
-}
-
-// Free hands a removed node back to the tree for reuse by a later Insert.
-// It is an explicit opt-in, not part of Delete, because PopMin callers read
-// the node after removal. The node must already be out of the tree; freeing
-// a queued node or double-freeing panics. After Free the caller must drop
-// every reference to n — it will be recycled as a different element.
-func (t *Tree[K, V]) Free(n *Node[K, V]) {
-	if n == nil || n.tree != nil {
-		panic("rbtree: Free of nil or still-inserted node")
-	}
-	if n.parent == n {
-		panic("rbtree: double Free")
-	}
-	var zk K
-	var zv V
-	n.key, n.val = zk, zv
-	n.parent = n // free-marker, cleared by Insert
-	n.left = nil
-	n.right = t.pool
-	t.pool = n
 }
 
 // PopMin removes and returns the minimum node, or nil if empty.

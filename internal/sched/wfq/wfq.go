@@ -32,7 +32,7 @@ type task struct {
 	vruntime int64
 	lastRun  time.Duration // runtime at last vruntime update
 	sched    *core.Schedulable
-	node     *rbtree.Node[int64, *task]
+	node     rbtree.Node[int64, *task] // linked while queued, not running
 	cpu      int
 	queued   bool
 	allowed  []bool // nil means all CPUs
@@ -145,17 +145,14 @@ func (s *Sched) charge(t *task, runtime time.Duration) {
 func (s *Sched) enqueue(rq *runq, t *task, cpu int) {
 	t.cpu = cpu
 	t.queued = true
-	t.node = rq.tree.Insert(t.vruntime, t)
+	rq.tree.Insert(&t.node, t.vruntime, t)
 	rq.totalWeight += t.weight
 	rq.updateMinV()
 }
 
 func (s *Sched) dequeue(rq *runq, t *task) {
-	if t.node != nil {
-		n := t.node
-		rq.tree.Delete(n)
-		rq.tree.Free(n)
-		t.node = nil
+	if t.node.Inserted() {
+		rq.tree.Delete(&t.node)
 	}
 	t.queued = false
 	rq.totalWeight -= t.weight
@@ -296,8 +293,6 @@ func (s *Sched) PickNextTask(cpu int, curr *core.Schedulable, currRuntime time.D
 	}
 	t := n.Value()
 	rq.tree.Delete(n)
-	rq.tree.Free(n)
-	t.node = nil
 	t.queued = false
 	rq.curr = t
 	rq.currPicked = t.lastRun

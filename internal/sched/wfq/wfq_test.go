@@ -319,7 +319,7 @@ func TestRunqNr(t *testing.T) {
 		t.Fatal("empty nr")
 	}
 	tk := &task{pid: 1, weight: 1024}
-	tk.node = rq.tree.Insert(0, tk)
+	rq.tree.Insert(&tk.node, 0, tk)
 	rq.curr = &task{pid: 2, weight: 1024}
 	if rq.nr() != 2 {
 		t.Fatalf("nr = %d", rq.nr())

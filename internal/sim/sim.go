@@ -24,8 +24,9 @@
 //   - Post/PostAt schedule fire-and-forget events drawn from an internal
 //     free list; because no handle escapes, the Event is recycled the moment
 //     it fires.
-//   - NewEvent + Reschedule give timer owners (the kernel's per-CPU tick and
-//     reschedule timers, per-task completion events) one persistent Event
+//   - NewEvent (or InitEvent, for an Event embedded in its owner) +
+//     Reschedule give timer owners (the kernel's per-CPU tick, reschedule
+//     and segment-completion timers) one persistent Event
 //     that is re-armed in place instead of allocating a closure + Event per
 //     arm.
 //
@@ -249,10 +250,20 @@ func (e *Engine) Post(d ktime.Duration, fn func()) {
 // re-armed, and cancelled) many times via Reschedule: one Event object per
 // recurring timer instead of one per arm. The handle owner must not share it.
 func (e *Engine) NewEvent(fn func()) *Event {
+	ev := new(Event)
+	e.InitEvent(ev, fn)
+	return ev
+}
+
+// InitEvent binds fn to ev, an Event the caller embeds by value and has not
+// armed yet, making it what NewEvent returns without the allocation: an
+// owner with several persistent timers (the kernel's per-CPU state) carries
+// them inline.
+func (e *Engine) InitEvent(ev *Event, fn func()) {
 	if fn == nil {
-		panic("sim: NewEvent with nil function")
+		panic("sim: event with nil function")
 	}
-	return &Event{eng: e, fn: fn}
+	*ev = Event{eng: e, fn: fn}
 }
 
 // Reschedule (re-)arms ev at absolute time t, keeping its function. It

@@ -12,6 +12,13 @@
 // fresh entry and letting the stale one (seq mismatch) be skipped on pop,
 // which is what keeps arm/cancel O(1) without index maintenance. Stale and
 // tombstoned entries are dropped lazily on pop and in bulk by maybeCompact.
+//
+// Slot storage comes from one slab per wheel, carved on the wheel's first
+// near-window push: each slot starts with a slabShare-entry share of it, so
+// the common slot — one or two entries per pass of the window — never
+// allocates. A slot that outgrows its share moves to its own array by plain
+// append and keeps it (the slab share is capacity-limited, so the append
+// can never spill into a neighbour's share).
 package sim
 
 import "enoki/internal/ktime"
@@ -24,6 +31,11 @@ const (
 	// that tick timers (1 ms) and typical sleeps stay out of the overflow
 	// heap.
 	numSlots = 1024
+	// slabShare is each slot's initial capacity, carved from the wheel's
+	// slab. Measured final slot capacities on a 200-machine fleet drive
+	// put nearly 90% of slots at one or two entries, and two entries
+	// cost about what those slots' own growth used to.
+	slabShare = 2
 )
 
 // entry is one queued occurrence of an event. The (at, seq) pair is the
@@ -243,11 +255,27 @@ func (w *wheelQueue) push(e entry) {
 		s = w.base
 	}
 	if s < w.base+numSlots {
-		w.slots[s%numSlots].ents = append(w.slots[s%numSlots].ents, e)
+		sl := &w.slots[s%numSlots]
+		if sl.ents == nil {
+			w.carve()
+		}
+		sl.ents = append(sl.ents, e)
 		w.nearCnt++
 		return
 	}
 	w.over.push(e)
+}
+
+// carve allocates the wheel's slab and hands every slot its
+// capacity-limited share. It runs at the first near-window push, when no
+// slot has storage yet; slots never drop their backing array afterwards
+// (reset and compact reslice to zero length), so it runs once per wheel.
+func (w *wheelQueue) carve() {
+	slab := make([]entry, numSlots*slabShare)
+	for i := range w.slots {
+		lo := i * slabShare
+		w.slots[i].ents = slab[lo : lo : lo+slabShare]
+	}
 }
 
 // advanceTo moves the window start forward to absolute slot s (never

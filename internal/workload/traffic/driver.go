@@ -54,6 +54,56 @@ type Driver struct {
 
 	conns uint64
 	cs    []classStats
+	// free recycles request records of exited tasks; the driver is their
+	// only owner, so a steady-state spawn allocates no record.
+	free []*request
+}
+
+// request is the kernel Behavior and ExitObserver of one service task:
+// one burst of work, then exit. The tasks of one admitted request share a
+// parent record that keeps the request's books — a plain request is its
+// own parent; a fanned-out request's parent is a record of its own that
+// counts the backends still running and completes the request when the
+// last one exits.
+type request struct {
+	d         *Driver
+	parent    *request
+	work      time.Duration
+	ci        int
+	arrival   time.Duration
+	remaining int // parent only: tasks still running
+}
+
+// Next implements kernel.Behavior.
+func (r *request) Next(*kernel.Kernel, *kernel.Task) kernel.Action {
+	return kernel.Action{Run: r.work, Op: kernel.OpExit}
+}
+
+// TaskExited implements kernel.ExitObserver.
+func (r *request) TaskExited(*kernel.Kernel, *kernel.Task) {
+	d, p := r.d, r.parent
+	if r != p {
+		d.release(r)
+	}
+	if p.remaining--; p.remaining == 0 {
+		d.complete(p.ci, p.arrival)
+		d.release(p)
+	}
+}
+
+// record returns a recycled or new request record.
+func (d *Driver) record() *request {
+	if n := len(d.free); n > 0 {
+		r := d.free[n-1]
+		d.free = d.free[:n-1]
+		return r
+	}
+	return &request{d: d}
+}
+
+func (d *Driver) release(r *request) {
+	r.parent = nil
+	d.free = append(d.free, r)
 }
 
 // NewDriver builds a driver for its shard's slice of the scenario.
@@ -172,22 +222,19 @@ func (d *Driver) offer(ci, attempt int, arrival time.Duration) {
 func (d *Driver) spawn(ci int, arrival time.Duration) {
 	c := &d.sc.Classes[ci]
 	d.cs[ci].requests++
+	p := d.record()
+	p.parent, p.ci, p.arrival = p, ci, arrival
 	if c.Fanout <= 1 {
-		work := d.rng.ExpDuration(c.Work)
-		d.k.Spawn(c.Name, c.Policy, oneShot(work),
-			kernel.WithExitObserver(func() { d.complete(ci, arrival) }))
+		p.remaining, p.work = 1, d.rng.ExpDuration(c.Work)
+		d.k.Spawn(c.Name, c.Policy, p)
 		return
 	}
-	remaining := c.Fanout
+	p.remaining = c.Fanout
 	share := c.Work / time.Duration(c.Fanout)
 	for i := 0; i < c.Fanout; i++ {
-		work := d.rng.ExpDuration(share)
-		d.k.Spawn(c.Name, c.Policy, oneShot(work),
-			kernel.WithExitObserver(func() {
-				if remaining--; remaining == 0 {
-					d.complete(ci, arrival)
-				}
-			}))
+		r := d.record()
+		r.parent, r.work = p, d.rng.ExpDuration(share)
+		d.k.Spawn(c.Name, c.Policy, r)
 	}
 }
 
@@ -205,13 +252,6 @@ func (d *Driver) complete(ci int, arrival time.Duration) {
 	if d.sc.antagonistActive(arrival) {
 		cs.antagDone++
 	}
-}
-
-// oneShot is a request task: one service burst, then exit.
-func oneShot(run time.Duration) kernel.Behavior {
-	return kernel.BehaviorFunc(func(*kernel.Kernel, *kernel.Task) kernel.Action {
-		return kernel.Action{Run: run, Op: kernel.OpExit}
-	})
 }
 
 // brownoutSample feeds per-admission-class queue depths into the
